@@ -12,6 +12,7 @@ from .algebras import (
     ArtinAlgebra,
     FDModule,
     Subspace,
+    check_module_axioms,
     free_module,
     monomial_square_zero_algebra,
 )
@@ -22,6 +23,7 @@ from .complexes import (
     ModuleMap,
     NotAComplexError,
     TorReport,
+    check_module_map,
     compose,
     homology_at,
     image_equals_radical_power,

@@ -5,9 +5,11 @@ per algebra basis element.
 Algebras here are commutative, associative, unital and local with residue
 field K: basis element 0 is the unit, the remaining basis elements span the
 Jacobson radical, and the radical is nilpotent.  All of this is brute-force
-checked at construction (dimensions never exceed a handful), which turns the
-type invariants into runtime guarantees.  The length of a module over such an
-algebra equals its K-dimension, because the only simple module is the
+checked when an algebra is constructed (dimensions never exceed a handful).
+A module built from given action operators is checked against the module
+axioms; the modules derived here (free modules, direct sum powers, quotients)
+satisfy them by construction and skip the check.  The length of a module over
+such an algebra equals its K-dimension, because the only simple module is the
 1-dimensional residue field.
 """
 
@@ -271,17 +273,43 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
     return ArtinAlgebra(field, names, mult, range(1, n))
 
 
-def _block_diag(field, blocks, nrows, ncols):
+def _block_diag(field, blocks):
     rows = []
     r_off = 0
     total_cols = sum(b.ncols for b in blocks)
     for b in blocks:
         for i in range(b.nrows):
             row = [field.zero()] * total_cols
-            row[r_off : r_off + b.ncols] = list(b.entries[i])
+            row[r_off : r_off + b.ncols] = b.entries[i]
             rows.append(row)
         r_off += b.ncols
-    return Matrix(field, rows, ncols=ncols)
+    return Matrix._raw(field, rows, total_cols)
+
+
+def check_module_axioms(algebra, actions):
+    """Raise ``ValueError`` unless ``actions`` (one square operator per algebra
+    basis element, over the algebra field) make a module: the unit acts as
+    the identity and the operators multiply by the structure constants."""
+    if len(actions) != algebra.dim:
+        raise ValueError("need one action operator per algebra basis element")
+    dim = actions[0].nrows
+    f = algebra.field
+    for a in actions:
+        if a.field != f or a.nrows != dim or a.ncols != dim:
+            raise ValueError("action operators must be square over the algebra field")
+    if actions[0] != Matrix.identity(f, dim):
+        raise ValueError("unit must act as the identity")
+    for i in range(algebra.dim):
+        for j in range(i, algebra.dim):
+            lhs = actions[i] @ actions[j]
+            rhs = Matrix.zeros(f, dim, dim)
+            for k, c in enumerate(algebra.mult[i][j]):
+                if not f.is_zero(c):
+                    rhs = rhs + actions[k].scaled(c)
+            if lhs != rhs:
+                raise ValueError(
+                    "actions violate the structure constants at (%d, %d)" % (i, j)
+                )
 
 
 class FDModule:
@@ -295,28 +323,19 @@ class FDModule:
 
     def __init__(self, algebra, actions):
         actions = tuple(actions)
-        if len(actions) != algebra.dim:
-            raise ValueError("need one action operator per algebra basis element")
-        dim = actions[0].nrows
-        f = algebra.field
-        for a in actions:
-            if a.field != f or a.nrows != dim or a.ncols != dim:
-                raise ValueError("action operators must be square over the algebra field")
-        if actions[0] != Matrix.identity(f, dim):
-            raise ValueError("unit must act as the identity")
-        for i in range(algebra.dim):
-            for j in range(i, algebra.dim):
-                lhs = actions[i] @ actions[j]
-                rhs = Matrix.zeros(f, dim, dim)
-                for k, c in enumerate(algebra.mult[i][j]):
-                    if not f.is_zero(c):
-                        rhs = rhs + actions[k].scaled(c)
-                if lhs != rhs:
-                    raise ValueError(
-                        "actions violate the structure constants at (%d, %d)" % (i, j)
-                    )
+        check_module_axioms(algebra, actions)
+        self._set(algebra, actions)
+
+    @classmethod
+    def _raw(cls, algebra, actions):
+        """Internal constructor for actions that satisfy the axioms by construction."""
+        m = cls.__new__(cls)
+        m._set(algebra, tuple(actions))
+        return m
+
+    def _set(self, algebra, actions):
         self.algebra = algebra
-        self.dim = dim
+        self.dim = actions[0].nrows
         self.actions = actions
         self._power_cache = {}
 
@@ -351,9 +370,6 @@ class FDModule:
         """Composition length; equals dim_K because the algebra is local with
         residue field K."""
         return self.dim
-
-    def standard_basis(self):
-        return Matrix.identity(self.algebra.field, self.dim).columns()
 
     def submodule_generated(self, gens) -> "Subspace":
         """Smallest action-closed subspace containing the given vectors."""
@@ -410,19 +426,17 @@ class FDModule:
         section = Matrix.from_cols(f, completion, nrows=self.dim)
         change = w.hstack(section)
         inv = change.inverse()
-        proj = Matrix(f, inv.entries[w.ncols :], ncols=self.dim)
+        proj = Matrix._raw(f, inv.entries[w.ncols :], self.dim)
         actions = [proj @ a @ section for a in self.actions]
-        return FDModule(self.algebra, actions), proj
+        return FDModule._raw(self.algebra, actions), proj
 
     def direct_sum_power(self, k: int) -> "FDModule":
         if k < 0:
             raise ValueError("power must be non-negative")
         if k not in self._power_cache:
             f = self.algebra.field
-            actions = [
-                _block_diag(f, [a] * k, self.dim * k, self.dim * k) for a in self.actions
-            ]
-            self._power_cache[k] = FDModule(self.algebra, actions)
+            actions = [_block_diag(f, [a] * k) for a in self.actions]
+            self._power_cache[k] = FDModule._raw(self.algebra, actions)
         return self._power_cache[k]
 
 
@@ -444,9 +458,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.ncols
 
-    def contains(self, other: "Subspace") -> bool:
-        return subspace_leq(other.basis, self.basis)
-
     def same_as(self, other: "Subspace") -> bool:
         return same_span(self.basis, other.basis)
 
@@ -460,9 +471,5 @@ def free_module(algebra: ArtinAlgebra, rank: int) -> FDModule:
     if rank < 0:
         raise ValueError("rank must be non-negative")
     f = algebra.field
-    n = algebra.dim
-    actions = []
-    for i in range(algebra.dim):
-        reg = algebra.left_mult_matrix(i)
-        actions.append(_block_diag(f, [reg] * rank, n * rank, n * rank))
-    return FDModule(algebra, actions)
+    actions = [_block_diag(f, [algebra.left_mult_matrix(i)] * rank) for i in range(algebra.dim)]
+    return FDModule._raw(algebra, actions)

@@ -23,8 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from .algebras import ArtinAlgebra, FDModule, free_module, monomial_square_zero_algebra
+from .algebras import free_module, monomial_square_zero_algebra
 from .complexes import (
     AlgebraMatrix,
     ChainComplex,
@@ -72,6 +73,14 @@ def parse_field_spec(obj):
     raise InputError('bad "field" value %r (expected "q" or {"fp": p})' % (obj,))
 
 
+def parse_int(obj, minimum, message):
+    """``obj`` if it is an integer of at least ``minimum``, else an input error
+    with ``message``.  JSON ``true`` and ``false`` are not integers."""
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < minimum:
+        raise InputError(message)
+    return obj
+
+
 def parse_scalar(field, obj, where):
     if not isinstance(obj, str):
         raise InputError("%s: scalars must be strings, got %r" % (where, obj))
@@ -111,14 +120,14 @@ def parse_module(algebra, obj):
     if not isinstance(obj, dict):
         raise InputError('"module" must be an object')
     if "free_rank" in obj:
-        rank = obj["free_rank"]
-        if not isinstance(rank, int) or rank < 0:
-            raise InputError('"module.free_rank" must be a non-negative integer')
+        rank = parse_int(
+            obj["free_rank"], 0, '"module.free_rank" must be a non-negative integer'
+        )
         return free_module(algebra, rank)
     if "quotient_of_free" in obj:
-        rank = obj["quotient_of_free"]
-        if not isinstance(rank, int) or rank < 0:
-            raise InputError('"module.quotient_of_free" must be a non-negative integer')
+        rank = parse_int(
+            obj["quotient_of_free"], 0, '"module.quotient_of_free" must be a non-negative integer'
+        )
         relations = obj.get("relations", [])
         if not isinstance(relations, list):
             raise InputError('"module.relations" must be a list')
@@ -138,25 +147,31 @@ def parse_module(algebra, obj):
     raise InputError('"module" needs "free_rank" or "quotient_of_free"')
 
 
-def parse_algebra_matrix(algebra, obj, where):
+def parse_grid(obj, where, minimum, parse_entry):
+    """``(cols, rows of parsed entries)`` of a ``{"rows", "cols", "entries"}``
+    matrix object whose sizes are at least ``minimum``."""
     if not isinstance(obj, dict):
         raise InputError("%s: a matrix must be an object" % where)
-    rows, cols = obj.get("rows"), obj.get("cols")
+    message = '%s: "rows" and "cols" must be %s integers' % (
+        where,
+        "non-negative" if minimum == 0 else "positive",
+    )
+    rows = parse_int(obj.get("rows"), minimum, message)
+    cols = parse_int(obj.get("cols"), minimum, message)
     entries = obj.get("entries")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
-        raise InputError('%s: "rows" and "cols" must be non-negative integers' % where)
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError("%s: need %d entry rows" % (where, rows))
     grid = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputError("%s: row %d needs %d entries" % (where, i, cols))
-        grid.append(
-            [parse_element(algebra, e, "%s[%d][%d]" % (where, i, j)) for j, e in enumerate(row)]
-        )
-    if rows == 0 or cols == 0:
-        return AlgebraMatrix.zeros(algebra, rows, cols)
-    return AlgebraMatrix(algebra, grid)
+        grid.append([parse_entry(e, "%s[%d][%d]" % (where, i, j)) for j, e in enumerate(row)])
+    return cols, grid
+
+
+def parse_algebra_matrix(algebra, obj, where):
+    cols, grid = parse_grid(obj, where, 0, partial(parse_element, algebra))
+    return AlgebraMatrix(algebra, grid, cols)
 
 
 def parse_poly(table, obj, where):
@@ -174,9 +189,9 @@ def parse_poly(table, obj, where):
         for name, exp in monomial.items():
             if name not in table:
                 raise InputError("%s: unknown variable %r" % (where, name))
-            if not isinstance(exp, int) or exp < 1:
-                raise InputError("%s: exponent of %r must be a positive integer" % (where, name))
-            exps[table.index_of(name)] = exp
+            exps[table.index_of(name)] = parse_int(
+                exp, 1, "%s: exponent of %r must be a positive integer" % (where, name)
+            )
         if exps:
             poly = poly + WeightedPoly.monomial(table, exps, coeff)
         else:
@@ -185,19 +200,7 @@ def parse_poly(table, obj, where):
 
 
 def parse_poly_matrix(table, obj, where):
-    if not isinstance(obj, dict):
-        raise InputError("%s: a matrix must be an object" % where)
-    rows, cols = obj.get("rows"), obj.get("cols")
-    entries = obj.get("entries")
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
-        raise InputError('%s: "rows" and "cols" must be positive integers' % where)
-    if not isinstance(entries, list) or len(entries) != rows:
-        raise InputError("%s: need %d entry rows" % (where, rows))
-    grid = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputError("%s: row %d needs %d entries" % (where, i, cols))
-        grid.append([parse_poly(table, e, "%s[%d][%d]" % (where, i, j)) for j, e in enumerate(row)])
+    _, grid = parse_grid(obj, where, 1, partial(parse_poly, table))
     return PolyMatrix(table, grid)
 
 
@@ -242,15 +245,11 @@ def parse_resolution_doc(doc):
         raise InputError('"variables" must be a list of [name, weight] pairs')
     table = VarTable(field)
     for k, pair in enumerate(variables):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not isinstance(pair[0], str)
-            or not isinstance(pair[1], int)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
             raise InputError("variables[%d] must be [name, weight]" % k)
+        weight = parse_int(pair[1], 1, "variables[%d]: weight must be a positive integer" % k)
         try:
-            table.add_var(pair[0], pair[1])
+            table.add_var(pair[0], weight)
         except ValueError as exc:
             raise InputError("variables[%d]: %s" % (k, exc)) from None
     matrices_json = doc.get("matrices")
@@ -410,42 +409,49 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def cmd_describe(args) -> int:
-    doc = load_json(args.file)
+def _shapes(matrices):
+    return ", ".join("%dx%d" % (m.nrows, m.ncols) for m in matrices)
+
+
+def describe_summary(doc) -> dict:
+    """What ``describe`` reports about a document, in text line order."""
     kind = detect_kind(doc)
-    lines = ["kind: %s" % kind]
     if kind == "resolution":
         field, table, matrices, assignment_json = parse_resolution_doc(doc)
-        lines.append("field: %s" % field.label)
-        lines.append("variables: %d" % len(table))
-        lines.append("matrices: %s" % ", ".join("%dx%d" % (m.nrows, m.ncols) for m in matrices))
-        lines.append("assignment: %d variables" % len(assignment_json))
-    elif kind == "complex":
+        return {
+            "kind": kind,
+            "field": field.label,
+            "variables": len(table),
+            "matrices": _shapes(matrices),
+            "assignment": "%d variables" % len(assignment_json),
+        }
+    module = maps = None
+    if kind == "complex":
         field, algebra, module, maps = parse_complex_doc(doc)
-        lines.append("field: %s" % field.label)
-        lines.append(
-            "algebra: square_zero dim %d generators %s"
-            % (algebra.dim, ",".join(algebra.basis_names[1:]))
-        )
-        lines.append("module: dim %d" % module.dim)
-        lines.append("maps: %s" % ", ".join("%dx%d" % (m.nrows, m.ncols) for m in maps))
     elif kind == "module":
         field, algebra, module = parse_module_doc(doc)
-        lines.append("field: %s" % field.label)
-        lines.append(
-            "algebra: square_zero dim %d generators %s"
-            % (algebra.dim, ",".join(algebra.basis_names[1:]))
-        )
-        lines.append("module: dim %d" % module.dim)
     else:  # algebra
         field = parse_field_spec(doc.get("field"))
         algebra = parse_algebra(field, doc.get("algebra"))
-        lines.append("field: %s" % field.label)
-        lines.append(
-            "algebra: square_zero dim %d generators %s"
-            % (algebra.dim, ",".join(algebra.basis_names[1:]))
-        )
-    write_output("\n".join(lines) + "\n", args.out)
+    summary = {
+        "kind": kind,
+        "field": field.label,
+        "algebra": "square_zero dim %d generators %s"
+        % (algebra.dim, ",".join(algebra.basis_names[1:])),
+    }
+    if module is not None:
+        summary["module"] = "dim %d" % module.dim
+    if maps is not None:
+        summary["maps"] = _shapes(maps)
+    return summary
+
+
+def cmd_describe(args) -> int:
+    summary = describe_summary(load_json(args.file))
+    if args.format == "json":
+        write_output(render_json(summary), args.out)
+    else:
+        write_output("".join("%s: %s\n" % item for item in summary.items()), args.out)
     return 0
 
 

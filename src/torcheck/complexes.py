@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebras import AlgebraElement, FDModule
-from .linalg import Matrix, ShapeError, same_span
+from .linalg import Matrix, ShapeError, dense_product, same_span
 
 
 class NotAComplexError(ValueError):
@@ -30,13 +30,19 @@ class NotAComplexError(ValueError):
 
 
 class AlgebraMatrix:
-    """Dense matrix of :class:`AlgebraElement` entries over one algebra."""
+    """Dense matrix of :class:`AlgebraElement` entries over one algebra.
+
+    As for :class:`~torcheck.linalg.Matrix`, a matrix with no rows takes its
+    width from ``ncols``.
+    """
 
     __slots__ = ("algebra", "nrows", "ncols", "entries")
 
-    def __init__(self, algebra, entries):
+    def __init__(self, algebra, entries, ncols=None):
         rows = tuple(tuple(row) for row in entries)
-        width = len(rows[0]) if rows else 0
+        width = len(rows[0]) if rows else ncols or 0
+        if ncols is not None and ncols != width:
+            raise ShapeError("ncols=%d disagrees with row width %d" % (ncols, width))
         for row in rows:
             if len(row) != width:
                 raise ShapeError("ragged rows")
@@ -54,7 +60,7 @@ class AlgebraMatrix:
     @classmethod
     def zeros(cls, algebra, nrows, ncols):
         z = algebra.zero()
-        return cls(algebra, [[z] * ncols for _ in range(nrows)])
+        return cls(algebra, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, algebra, n):
@@ -78,21 +84,8 @@ class AlgebraMatrix:
     def __matmul__(self, other):
         if self.algebra != other.algebra:
             raise ValueError("matrices over different algebras")
-        if self.ncols != other.nrows:
-            raise ShapeError(
-                "product shape mismatch: %dx%d @ %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for k in range(other.ncols):
-                acc = self.algebra.zero()
-                for j in range(self.ncols):
-                    acc = acc + self.entries[i][j] * other.entries[j][k]
-                row.append(acc)
-            rows.append(row)
-        return AlgebraMatrix(self.algebra, rows)
+        rows = dense_product(self, other, self.algebra.zero())
+        return AlgebraMatrix(self.algebra, rows, other.ncols)
 
     def __repr__(self):
         return "AlgebraMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.algebra)
@@ -103,48 +96,65 @@ def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
     return AlgebraMatrix(
         algebra,
         [[p.substitute(assignment, algebra) for p in row] for row in m.entries],
+        m.ncols,
     )
+
+
+def check_module_map(source: FDModule, target: FDModule, matrix: Matrix):
+    """Raise unless ``matrix`` (shape ``target.dim x source.dim``) is a map of
+    modules over one algebra: it must commute with every action operator."""
+    if source.algebra != target.algebra:
+        raise ValueError("source and target over different algebras")
+    if matrix.nrows != target.dim or matrix.ncols != source.dim:
+        raise ShapeError(
+            "matrix shape %dx%d does not map dim %d to dim %d"
+            % (matrix.nrows, matrix.ncols, source.dim, target.dim)
+        )
+    for a_src, a_tgt in zip(source.actions, target.actions):
+        if matrix @ a_src != a_tgt @ matrix:
+            raise ValueError("map does not commute with the algebra action")
 
 
 class ModuleMap:
     """K-linear map between modules over one algebra, commuting with the action.
 
     ``matrix`` has shape ``target.dim x source.dim`` and acts on coordinate
-    column vectors.  Commutation with every action operator is checked at
-    construction.
+    column vectors.  The public constructor checks commutation with every
+    action operator (:func:`check_module_map`); maps the library builds
+    (zero, identity, induced maps and composites) commute by construction
+    and skip the check.
     """
 
     def __init__(self, source: FDModule, target: FDModule, matrix: Matrix):
-        if source.algebra != target.algebra:
-            raise ValueError("source and target over different algebras")
-        if matrix.nrows != target.dim or matrix.ncols != source.dim:
-            raise ShapeError(
-                "matrix shape %dx%d does not map dim %d to dim %d"
-                % (matrix.nrows, matrix.ncols, source.dim, target.dim)
-            )
-        for a_src, a_tgt in zip(source.actions, target.actions):
-            if matrix @ a_src != a_tgt @ matrix:
-                raise ValueError("map does not commute with the algebra action")
+        check_module_map(source, target, matrix)
         self.source = source
         self.target = target
         self.matrix = matrix
 
     @classmethod
+    def _raw(cls, source, target, matrix):
+        """Internal constructor for a map that commutes by construction."""
+        m = cls.__new__(cls)
+        m.source = source
+        m.target = target
+        m.matrix = matrix
+        return m
+
+    @classmethod
     def zero(cls, source, target):
-        return cls(source, target, Matrix.zeros(source.algebra.field, target.dim, source.dim))
+        if source.algebra != target.algebra:
+            raise ValueError("source and target over different algebras")
+        return cls._raw(source, target, Matrix.zeros(source.algebra.field, target.dim, source.dim))
 
     @classmethod
     def identity(cls, module):
-        return cls(module, module, Matrix.identity(module.algebra.field, module.dim))
+        return cls._raw(module, module, Matrix.identity(module.algebra.field, module.dim))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
     def image_dim(self) -> int:
         return self.matrix.rank()
-
-    def kernel_dim(self) -> int:
-        return self.source.dim - self.matrix.rank()
 
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
@@ -168,15 +178,14 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> ModuleMap:
             for b in blocks:
                 row.extend(b.entries[r])
             rows.append(row)
-    matrix = Matrix(f, rows, ncols=d * a.nrows)
-    return ModuleMap(source, target, matrix)
+    return ModuleMap._raw(source, target, Matrix._raw(f, rows, d * a.nrows))
 
 
 def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """f after g."""
     if g.target != f.source:
         raise ShapeError("compose: target of second argument must equal source of first")
-    return ModuleMap(g.source, f.target, f.matrix @ g.matrix)
+    return ModuleMap._raw(g.source, f.target, f.matrix @ g.matrix)
 
 
 @dataclass(frozen=True)
@@ -193,23 +202,18 @@ def homology_at(incoming, outgoing) -> HomologySummary:
     homology subquotient is automatically action-closed, so only its length
     (= kernel dim - image dim) and the two dimensions are reported.
     """
-    if incoming is None and outgoing is None:
+    maps = [m for m in (incoming, outgoing) if m is not None]
+    if not maps:
         raise ValueError("at least one map is required")
-    if incoming is not None and outgoing is not None:
-        if incoming.target != outgoing.source:
-            raise ShapeError("maps do not meet at a common module")
-        if not compose(outgoing, incoming).is_zero():
-            raise NotAComplexError("composite of consecutive maps is nonzero")
-    middle = outgoing.source if outgoing is not None else incoming.target
-    ker = outgoing.kernel_dim() if outgoing is not None else middle.dim
-    im = incoming.image_dim() if incoming is not None else 0
-    return HomologySummary(ker - im, ker, im)
+    cx = ChainComplex([maps[0].source] + [m.target for m in maps], maps)
+    return cx.homology()[0 if incoming is None else 1]
 
 
 class ChainComplex:
     """Bounded complex M_k -> ... -> M_0; ``maps[j]`` sends ``modules[j]`` to
     ``modules[j+1]`` (modules are listed from homological degree k down to 0).
-    Consecutive composites are checked to vanish."""
+    Consecutive composites are checked to vanish; this is the one place where a
+    composite of K-matrices is checked."""
 
     def __init__(self, modules, maps):
         modules = list(modules)
@@ -234,15 +238,12 @@ class ChainComplex:
 
     def homology(self):
         """Summaries listed from the left end (degree k) to degree 0."""
+        ranks = [f.matrix.rank() for f in self.maps] + [0]
         out = []
-        for pos in range(len(self.modules)):
-            incoming = self.maps[pos - 1] if pos > 0 else None
-            outgoing = self.maps[pos] if pos < len(self.maps) else None
-            if incoming is None and outgoing is None:
-                m = self.modules[pos]
-                out.append(HomologySummary(m.length(), m.dim, 0))
-            else:
-                out.append(homology_at(incoming, outgoing))
+        for pos, m in enumerate(self.modules):
+            ker = m.dim - ranks[pos]
+            im = ranks[pos - 1] if pos > 0 else 0
+            out.append(HomologySummary(ker - im, ker, im))
         return out
 
 

@@ -1,10 +1,11 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
 Every homology number in this package reduces to a rank, kernel or column
-span of a small dense matrix (nothing exceeds 24x24), so the implementation
-favours clarity over asymptotics: plain Gauss-Jordan elimination with exact
-arithmetic.  Rational entries are ``fractions.Fraction``, prime-field entries
-are integer residues in ``[0, p)``.  No floating point anywhere.
+span of a dense matrix of modest size (an induced map of a length-6
+resolution is 96x192), so the implementation favours clarity over
+asymptotics: plain Gauss-Jordan elimination with exact arithmetic.  Rational
+entries are ``fractions.Fraction``, prime-field entries are integer residues
+in ``[0, p)``.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -214,12 +215,12 @@ class Matrix:
     @classmethod
     def zeros(cls, field, nrows, ncols):
         z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._raw(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
         one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._raw(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
@@ -260,17 +261,14 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_cols(self.field, list(self.entries), nrows=self.ncols)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
         if self.nrows != other.nrows:
             raise ShapeError("hstack row counts differ: %d vs %d" % (self.nrows, other.nrows))
-        return Matrix(
+        return Matrix._raw(
             self.field,
             [self.entries[i] + other.entries[i] for i in range(self.nrows)],
-            ncols=self.ncols + other.ncols,
+            self.ncols + other.ncols,
         )
 
     # -- arithmetic ---------------------------------------------------
@@ -400,7 +398,26 @@ class Matrix:
         red, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in red.entries], ncols=n)
+        return Matrix._raw(self.field, [row[n:] for row in red.entries], n)
+
+
+def dense_product(a, b, zero):
+    """Rows of ``a @ b`` for dense matrices (``nrows``, ``ncols``, row-major
+    ``entries``) of any ring elements; ``zero`` starts every sum."""
+    if a.ncols != b.nrows:
+        raise ShapeError(
+            "product shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
+        )
+    rows = []
+    for row in a.entries:
+        out = []
+        for k in range(b.ncols):
+            acc = zero
+            for j, x in enumerate(row):
+                acc = acc + x * b.entries[j][k]
+            out.append(acc)
+        rows.append(out)
+    return rows
 
 
 def subspace_leq(a: Matrix, b: Matrix) -> bool:

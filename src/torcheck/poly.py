@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .linalg import dense_product
+
 
 class VarTable:
     """Ordered table of (name, weight) variables over a coefficient field."""
@@ -45,9 +47,6 @@ class VarTable:
 
     def weight_of(self, idx: int) -> int:
         return self._weights[idx]
-
-    def names(self):
-        return tuple(self._names)
 
     def __contains__(self, name):
         return name in self._index
@@ -289,21 +288,7 @@ class PolyMatrix:
     def __matmul__(self, other):
         if self.table is not other.table:
             raise ValueError("matrices use different variable tables")
-        if self.ncols != other.nrows:
-            raise ValueError(
-                "product shape mismatch: %dx%d @ %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for k in range(other.ncols):
-                acc = WeightedPoly.zero(self.table)
-                for j in range(self.ncols):
-                    acc = acc + self.entries[i][j] * other.entries[j][k]
-                row.append(acc)
-            rows.append(row)
-        return PolyMatrix(self.table, rows)
+        return PolyMatrix(self.table, dense_product(self, other, WeightedPoly.zero(self.table)))
 
     def minor(self, row_idx, col_idx):
         """Determinant of the selected square submatrix (plain sign convention,

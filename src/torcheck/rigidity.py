@@ -42,6 +42,10 @@ from .linalg import same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
+# forced weighted degree of each derived polynomial class, in check order
+EXPECTED_DEGREES = {"xy_entries": 5, "minors3": 9, "f": 4, "g": 6, "u_relations": 6}
+# the classes that are relation generators of R, in report order
+RELATION_CLASSES = ("xy_entries", "minors3", "u_relations")
 EXPECTED_BETTI = (8, 4, 2)
 
 CITED_NOT_VERIFIED = (
@@ -74,15 +78,24 @@ class GenericComplexData:
     g: tuple  # ((c1, c2) 1-based, poly), 28 of them, lexicographic
     u_relations: tuple  # ((c1, c2) 1-based, g - f*u), 28 of them
 
+    def labelled_classes(self):
+        """Every derived polynomial class as a list of (label, poly), keyed by
+        class name, in report order."""
+        return {
+            "xy_entries": [("xy[%d,%d]" % pos, p) for pos, p in self.xy_entries],
+            "minors3": [
+                ("minor3[%s|%s]" % (",".join(map(str, rs)), ",".join(map(str, cs))), p)
+                for (rs, cs), p in self.minors3
+            ],
+            "f": [("f", self.f)],
+            "g": [("g[%d,%d]" % pair, p) for pair, p in self.g],
+            "u_relations": [("u_rel[%d,%d]" % pair, p) for pair, p in self.u_relations],
+        }
+
     def relation_generators(self):
         """All 268 listed relations as (label, poly), in report order."""
-        out = [("xy[%d,%d]" % pos, p) for pos, p in self.xy_entries]
-        out.extend(
-            ("minor3[%s|%s]" % (",".join(map(str, rs)), ",".join(map(str, cs))), p)
-            for (rs, cs), p in self.minors3
-        )
-        out.extend(("u_rel[%d,%d]" % pair, p) for pair, p in self.u_relations)
-        return out
+        classes = self.labelled_classes()
+        return [item for name in RELATION_CLASSES for item in classes[name]]
 
 
 @dataclass(frozen=True)
@@ -243,40 +256,14 @@ def check_counts(data: GenericComplexData) -> CheckResult:
     )
 
 
-def _degree_class(polys, expected_degree):
-    """(all homogeneous of the expected degree, first offender label or None)."""
-    for label, p in polys:
-        kind, d = p.weighted_degree()
-        if kind != "homogeneous" or d != expected_degree:
-            return False, label
-    return True, None
-
-
 def check_grading(data: GenericComplexData) -> CheckResult:
     """Every derived polynomial is homogeneous of its forced weighted degree."""
-    classes = {
-        "xy_entries": ([("xy[%d,%d]" % pos, p) for pos, p in data.xy_entries], 5),
-        "minors3": (
-            [
-                (
-                    "minor3[%s|%s]" % (",".join(map(str, rs)), ",".join(map(str, cs))),
-                    p,
-                )
-                for (rs, cs), p in data.minors3
-            ],
-            9,
-        ),
-        "f": ([("f", data.f)], 4),
-        "g": ([("g[%d,%d]" % pair, p) for pair, p in data.g], 6),
-        "u_relations": ([("u_rel[%d,%d]" % pair, p) for pair, p in data.u_relations], 6),
-    }
-    degrees = {name: expected for name, (_, expected) in classes.items()}
-    for name, (polys, expected) in classes.items():
-        ok, offender = _degree_class(polys, expected)
-        if not ok:
-            return CheckResult(
-                "grading", False, {"degrees": degrees, "offender": offender}
-            )
+    classes = data.labelled_classes()
+    degrees = dict(EXPECTED_DEGREES)
+    for name, expected in EXPECTED_DEGREES.items():
+        for label, p in classes[name]:
+            if p.weighted_degree() != ("homogeneous", expected):
+                return CheckResult("grading", False, {"degrees": degrees, "offender": label})
     return CheckResult("grading", True, {"degrees": degrees})
 
 
@@ -286,14 +273,11 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
     min_degree = {}
     min_factors = {}
     offender = None
-    for class_name, polys in (
-        ("xy_entries", [p for _, p in data.xy_entries]),
-        ("minors3", [p for _, p in data.minors3]),
-        ("u_relations", [p for _, p in data.u_relations]),
-    ):
+    classes = data.labelled_classes()
+    for class_name in RELATION_CLASSES:
         degrees = []
         factors = []
-        for p in polys:
+        for _, p in classes[class_name]:
             kind, d = p.weighted_degree()
             degrees.append(d if d is not None else -1)
             factors.append(p.min_factor_count() if not p.is_zero() else 0)
@@ -460,12 +444,13 @@ def full_report(field, generic=None, specialization=None) -> VerificationReport:
     if data.table.field != spec.algebra.field:
         raise ValueError("generic data and specialization use different fields")
 
+    lengths_check = check_module_lengths(spec)
     checks = [
         check_counts(data),
         check_grading(data),
         check_psquare(data),
         check_specialization_matrices(spec),
-        check_module_lengths(spec),
+        lengths_check,
         check_homomorphism(data, spec),
         check_pd_witness(data, spec),
     ]
@@ -481,13 +466,6 @@ def full_report(field, generic=None, specialization=None) -> VerificationReport:
         )
     )
 
-    N = spec.module
-    lengths = {
-        "N": N.length(),
-        "radical_N": N.radical_submodule().dim,
-        "N4": N.direct_sum_power(4).length(),
-        "N8": N.direct_sum_power(8).length(),
-    }
     tor_table = {}
     if report is not None:
         tor_table = {i: h.length for i, h in enumerate(report.degrees)}
@@ -496,5 +474,5 @@ def full_report(field, generic=None, specialization=None) -> VerificationReport:
         checks=tuple(checks),
         tor=tor_table,
         betti=betti,
-        lengths=lengths,
+        lengths=lengths_check.details["measured"],
     )

@@ -179,6 +179,19 @@ def test_homology_non_complex_exits_one(capsys):
     assert "not a complex" in err
 
 
+def test_homology_zero_row_map_keeps_its_width(capsys):
+    # 0 -> N^2 over K[s]/(s^2) with N free of rank 1: H_0 is all of N^2
+    rc, out, _ = run(capsys, "homology", str(FIXTURES / "zero_row_map.json"))
+    assert rc == 0
+    assert out == "H_1 = 0\nH_0 = 4\n"
+
+
+def test_homology_zero_row_map_chains(capsys):
+    rc, out, _ = run(capsys, "homology", str(FIXTURES / "zero_row_chain.json"))
+    assert rc == 0
+    assert out == "H_2 = 0\nH_1 = 2\nH_0 = 0\n"
+
+
 def test_homology_composite_field_rejected(capsys):
     rc, _, err = run(capsys, "homology", str(FIXTURES / "bad_field.json"))
     assert rc == 2
@@ -216,6 +229,17 @@ def test_describe_algebra(capsys):
     assert "dim 4" in out
 
 
+def test_describe_json(capsys):
+    rc, out, _ = run(capsys, "describe", data_path("module.json"), "--format", "json")
+    assert rc == 0
+    assert json.loads(out) == {
+        "kind": "module",
+        "field": "fp:101",
+        "algebra": "square_zero dim 3 generators s,t",
+        "module": "dim 3",
+    }
+
+
 def test_describe_garbage(capsys):
     rc, _, err = run(capsys, "describe", str(FIXTURES / "truncated.json"))
     assert rc == 2
@@ -233,3 +257,56 @@ def test_unknown_subcommand(capsys):
 def test_missing_arguments(capsys):
     rc, _, _ = run(capsys, "tor")
     assert rc == 2
+
+
+# -- integer fields ------------------------------------------------------------
+
+SQUARE_ZERO = {"field": {"fp": 101}, "algebra": {"type": "square_zero", "generators": ["s"]}}
+
+
+def _complex_doc(rows, cols):
+    return dict(
+        SQUARE_ZERO,
+        module={"free_rank": 1},
+        maps=[{"rows": rows, "cols": cols, "entries": [[["1", "0"]]]}],
+    )
+
+
+def _resolution_doc(rows=1, cols=1, weight=1, exponent=1):
+    return {
+        "field": {"fp": 101},
+        "variables": [["a", weight]],
+        "matrices": [{"rows": rows, "cols": cols, "entries": [[[["1", {"a": exponent}]]]]}],
+        "assignment": {},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(SQUARE_ZERO, module={"free_rank": True}), '"module.free_rank"'),
+        (dict(SQUARE_ZERO, module={"quotient_of_free": True}), '"module.quotient_of_free"'),
+        (_complex_doc(True, 1), 'maps[0]: "rows" and "cols"'),
+        (_complex_doc(1, True), 'maps[0]: "rows" and "cols"'),
+        (_resolution_doc(rows=True), 'matrices[0]: "rows" and "cols"'),
+        (_resolution_doc(cols=True), 'matrices[0]: "rows" and "cols"'),
+        (_resolution_doc(weight=True), "variables[0]: weight"),
+        (_resolution_doc(exponent=True), "exponent of 'a'"),
+    ],
+    ids=[
+        "free_rank",
+        "quotient_of_free",
+        "map_rows",
+        "map_cols",
+        "matrix_rows",
+        "matrix_cols",
+        "weight",
+        "exponent",
+    ],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "describe", str(path))
+    assert rc == 2
+    assert message in err

@@ -16,7 +16,7 @@ from torcheck.complexes import (
     substitute_matrix,
     tor_from_resolution,
 )
-from torcheck.linalg import GF, QQ, Matrix
+from torcheck.linalg import GF, QQ, Matrix, ShapeError
 from torcheck.poly import PolyMatrix, VarTable
 
 
@@ -128,6 +128,16 @@ def test_induced_zero_and_identity(scene):
     assert z.is_zero()
     one = induced_map(AlgebraMatrix.identity(S, 1), N)
     assert one.matrix == Matrix.identity(QQ, 3)
+
+
+def test_zero_row_matrix_keeps_its_width(scene):
+    S, N, _, _, _, _, _, _ = scene
+    a = AlgebraMatrix(S, [], 2)
+    assert (a.nrows, a.ncols) == (0, 2)
+    f = induced_map(a, N)
+    assert (f.source.dim, f.target.dim) == (0, 6)
+    with pytest.raises(ShapeError):
+        AlgebraMatrix(S, [[S.one()]], 2)
 
 
 # -- composition ---------------------------------------------------------------
