@@ -213,8 +213,12 @@ def load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from None
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
+    except RecursionError:
+        raise InputError("%s is nested too deeply to parse" % path) from None
 
 
 def detect_kind(doc):
@@ -339,6 +343,16 @@ def cmd_verify(args) -> int:
     return 0 if report.overall_pass else 1
 
 
+def report_not_a_complex(exc, args) -> int:
+    """Name the failed composite on stderr and, for ``--format json``, in the
+    output too; returns exit code 1."""
+    sys.stderr.write("not a complex: %s\n" % exc)
+    if args.format == "json":
+        payload = {"message": str(exc), "position": exc.position, "entry": exc.entry}
+        write_output(render_json({"not_a_complex": payload}), args.out)
+    return 1
+
+
 def cmd_tor(args) -> int:
     res_doc = load_json(args.resolution)
     mod_doc = load_json(args.module)
@@ -363,8 +377,7 @@ def cmd_tor(args) -> int:
     try:
         report = tor_from_resolution(matrices, assignment, module)
     except NotAComplexError as exc:
-        sys.stderr.write("not a complex: %s\n" % exc)
-        return 1
+        return report_not_a_complex(exc, args)
     except ShapeError as exc:
         raise InputError(str(exc)) from None
     if args.format == "json":
@@ -391,13 +404,10 @@ def cmd_homology(args) -> int:
         else:
             write_output("", args.out)
         return 0
-    induced = [induced_map(a, module) for a in maps]
-    modules = [induced[0].source] + [f.target for f in induced]
     try:
-        cx = ChainComplex(modules, induced)
+        cx = ChainComplex(induced_map(a, module) for a in maps)
     except NotAComplexError as exc:
-        sys.stderr.write("not a complex: %s\n" % exc)
-        return 1
+        return report_not_a_complex(exc, args)
     summaries = cx.homology()
     top = cx.top_degree
     if args.format == "json":

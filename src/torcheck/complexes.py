@@ -14,7 +14,7 @@ must not be mixed with this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebras import AlgebraElement, FDModule
 from .linalg import Matrix, ShapeError, dense_product, same_span
@@ -153,9 +153,6 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def image_dim(self) -> int:
-        return self.matrix.rank()
-
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
 
@@ -205,31 +202,29 @@ def homology_at(incoming, outgoing) -> HomologySummary:
     maps = [m for m in (incoming, outgoing) if m is not None]
     if not maps:
         raise ValueError("at least one map is required")
-    cx = ChainComplex([maps[0].source] + [m.target for m in maps], maps)
+    cx = ChainComplex(maps)
     return cx.homology()[0 if incoming is None else 1]
 
 
 class ChainComplex:
-    """Bounded complex M_k -> ... -> M_0; ``maps[j]`` sends ``modules[j]`` to
-    ``modules[j+1]`` (modules are listed from homological degree k down to 0).
-    Consecutive composites are checked to vanish; this is the one place where a
-    composite of K-matrices is checked."""
+    """Bounded complex M_k -> ... -> M_0 built from its maps: ``maps[j]``
+    sends ``modules[j]`` to ``modules[j+1]`` (modules are listed from
+    homological degree k down to 0).  The maps must chain and consecutive
+    composites must vanish; this is the one place where a composite of
+    K-matrices is checked."""
 
-    def __init__(self, modules, maps):
-        modules = list(modules)
+    def __init__(self, maps):
         maps = list(maps)
-        if len(modules) != len(maps) + 1:
-            raise ShapeError("a complex with %d maps needs %d modules" % (len(maps), len(maps) + 1))
-        for j, f in enumerate(maps):
-            if f.source != modules[j] or f.target != modules[j + 1]:
-                raise ShapeError("map %d does not match the adjacent modules" % j)
+        if not maps:
+            raise ValueError("a complex needs at least one map")
         for j in range(len(maps) - 1):
-            comp = compose(maps[j + 1], maps[j])
-            if not comp.is_zero():
+            if maps[j].target != maps[j + 1].source:
+                raise ShapeError("maps %d and %d do not chain" % (j, j + 1))
+            if not (maps[j + 1].matrix @ maps[j].matrix).is_zero():
                 raise NotAComplexError(
                     "composite of maps %d and %d is nonzero" % (j, j + 1), position=j
                 )
-        self.modules = modules
+        self.modules = [maps[0].source] + [f.target for f in maps]
         self.maps = maps
 
     @property
@@ -247,17 +242,17 @@ class ChainComplex:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorReport:
     """Homology of a specialized resolution tensored with a module.
 
     ``degrees[i]`` is the summary in homological degree i (degree 0 is the
-    cokernel end).  ``image_checks`` carries named image-identity flags
-    contributed by callers that know the expected images.
+    cokernel end); ``complex`` is the complex of induced maps it was taken
+    from, with ``complex.maps`` in resolution order.
     """
 
     degrees: tuple
-    image_checks: dict = field(default_factory=dict)
+    complex: ChainComplex
 
     def lengths(self):
         return tuple(h.length for h in self.degrees)
@@ -266,27 +261,23 @@ class TorReport:
         return sum((-1) ** i * h.length for i, h in enumerate(self.degrees))
 
 
-def tor_from_resolution(resolution, assignment, module, tail_rank=None) -> TorReport:
+def tor_from_resolution(resolution, assignment, module) -> TorReport:
     """Tor of the module presented by a free resolution against ``module``.
 
     ``resolution`` lists the differentials of ``0 -> R^a --d_k--> ... --d_1-->
-    R^z`` left to right as polynomial matrices with chaining shapes; each is
-    specialized through ``assignment`` into the module's algebra, induced on
-    powers of ``module``, and the homology of the resulting complex is
-    returned with degree 0 at the cokernel end.
+    R^z`` left to right as polynomial matrices with chaining shapes; it must
+    hold at least one.  Each is specialized once through ``assignment`` into
+    the module's algebra, induced on powers of ``module``, and the homology of
+    the resulting complex is returned with degree 0 at the cokernel end.
 
-    Consecutive symbolic products must substitute to zero entrywise;
-    otherwise :class:`NotAComplexError` reports which composite and entry
-    failed.  An empty resolution needs ``tail_rank`` for the rank of the
-    lone free module.
+    Consecutive specialized matrices must multiply to zero in the algebra
+    (substitution is a ring homomorphism, so this is the symbolic composite
+    substituted); otherwise :class:`NotAComplexError` reports which composite
+    and which entry, the first non-zero in row-major order, failed.
     """
-    algebra = module.algebra
     resolution = list(resolution)
     if not resolution:
-        if tail_rank is None:
-            raise ValueError("empty resolution requires tail_rank")
-        m0 = module.direct_sum_power(tail_rank)
-        return TorReport((HomologySummary(m0.length(), m0.dim, 0),))
+        raise ValueError("a resolution needs at least one matrix")
     for i in range(len(resolution) - 1):
         if resolution[i].ncols != resolution[i + 1].nrows:
             raise ShapeError(
@@ -300,10 +291,11 @@ def tor_from_resolution(resolution, assignment, module, tail_rank=None) -> TorRe
                     resolution[i + 1].ncols,
                 )
             )
-        product = resolution[i] @ resolution[i + 1]
-        for r in range(product.nrows):
-            for c in range(product.ncols):
-                value = product.entry(r, c).substitute(assignment, algebra)
+    specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
+    for i in range(len(specialized) - 1):
+        product = specialized[i] @ specialized[i + 1]
+        for r, row in enumerate(product.entries):
+            for c, value in enumerate(row):
                 if not value.is_zero():
                     raise NotAComplexError(
                         "composite of resolution matrices %d and %d substitutes to a "
@@ -311,11 +303,8 @@ def tor_from_resolution(resolution, assignment, module, tail_rank=None) -> TorRe
                         position=i,
                         entry=(r, c),
                     )
-    specialized = [substitute_matrix(m, assignment, algebra) for m in resolution]
-    maps = [induced_map(a, module) for a in specialized]
-    modules = [maps[0].source] + [f.target for f in maps]
-    cx = ChainComplex(modules, maps)
-    return TorReport(tuple(reversed(cx.homology())))
+    cx = ChainComplex(induced_map(a, module) for a in specialized)
+    return TorReport(tuple(reversed(cx.homology())), cx)
 
 
 def image_equals_radical_power(f: ModuleMap, k: int = 1) -> bool:

@@ -403,18 +403,21 @@ class Matrix:
 
 def dense_product(a, b, zero):
     """Rows of ``a @ b`` for dense matrices (``nrows``, ``ncols``, row-major
-    ``entries``) of any ring elements; ``zero`` starts every sum."""
+    ``entries``) of any ring elements with ``is_zero()``; ``zero`` starts
+    every sum.  As in :meth:`Matrix.__matmul__`, zero entries of ``a`` are
+    skipped; each row's non-zero entries are found once for all columns."""
     if a.ncols != b.nrows:
         raise ShapeError(
             "product shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
         )
     rows = []
     for row in a.entries:
+        terms = [(x, b.entries[j]) for j, x in enumerate(row) if not x.is_zero()]
         out = []
         for k in range(b.ncols):
             acc = zero
-            for j, x in enumerate(row):
-                acc = acc + x * b.entries[j][k]
+            for x, b_row in terms:
+                acc = acc + x * b_row[k]
             out.append(acc)
         rows.append(out)
     return rows

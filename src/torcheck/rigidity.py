@@ -34,8 +34,6 @@ from .complexes import (
     AlgebraMatrix,
     NotAComplexError,
     image_equals_radical_power,
-    induced_map,
-    substitute_matrix,
     tor_from_resolution,
 )
 from .linalg import same_span
@@ -363,7 +361,8 @@ def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> Chec
 def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
     """Specialize the resolution, compute Tor, and check the homology table,
     the degree-2 kernel identity, the image identities and the Euler
-    characteristic.  Returns ``(TorReport or None, list of CheckResult)``."""
+    characteristic on the report's own complex of induced maps.  Returns
+    ``(TorReport or None, list of CheckResult)``."""
     N = spec.module
     try:
         report = tor_from_resolution([data.x, data.y], spec.assignment, N)
@@ -380,8 +379,7 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
         )
     )
 
-    fx = induced_map(substitute_matrix(data.x, spec.assignment, spec.algebra), N)
-    fy = induced_map(substitute_matrix(data.y, spec.assignment, spec.algebra), N)
+    fx, fy = report.complex.maps
 
     kernel = fx.matrix.kernel_basis()
     radical_pairs = fx.source.radical_submodule()
@@ -396,8 +394,6 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
 
     image_x = image_equals_radical_power(fx, 1)
     image_y = image_equals_radical_power(fy, 1)
-    report.image_checks["first_map_image_is_radical"] = image_x
-    report.image_checks["second_map_image_is_radical"] = image_y
     checks.append(
         CheckResult(
             "image_identities",
@@ -405,7 +401,7 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
             {
                 "first_map_image_is_radical": image_x,
                 "second_map_image_is_radical": image_y,
-                "image_dims": [fx.image_dim(), fy.image_dim()],
+                "image_dims": [report.degrees[1].image_dim, report.degrees[0].image_dim],
                 "target_length_first_map": fx.target.length(),
             },
         )

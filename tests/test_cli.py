@@ -120,6 +120,27 @@ def test_tor_non_complex_exits_one(capsys):
     assert "entry (0, 0)" in err
 
 
+def test_tor_non_complex_json_names_the_entry(capsys):
+    rc, out, err = run(
+        capsys,
+        "tor",
+        str(FIXTURES / "bad_resolution.json"),
+        data_path("module.json"),
+        "--format",
+        "json",
+    )
+    assert rc == 1
+    assert err.startswith("not a complex: ")
+    assert json.loads(out) == {
+        "not_a_complex": {
+            "message": "composite of resolution matrices 0 and 1 substitutes to a "
+            "nonzero element at entry (0, 0)",
+            "position": 0,
+            "entry": [0, 0],
+        }
+    }
+
+
 def test_tor_truncated_file(capsys):
     rc, _, err = run(capsys, "tor", str(FIXTURES / "truncated.json"), data_path("module.json"))
     assert rc == 2
@@ -177,6 +198,21 @@ def test_homology_non_complex_exits_one(capsys):
     rc, _, err = run(capsys, "homology", str(FIXTURES / "bad_complex.json"))
     assert rc == 1
     assert "not a complex" in err
+
+
+def test_homology_non_complex_json_names_the_composite(capsys):
+    rc, out, err = run(
+        capsys, "homology", str(FIXTURES / "bad_complex.json"), "--format", "json"
+    )
+    assert rc == 1
+    assert err == "not a complex: composite of maps 0 and 1 is nonzero\n"
+    assert json.loads(out) == {
+        "not_a_complex": {
+            "message": "composite of maps 0 and 1 is nonzero",
+            "position": 0,
+            "entry": None,
+        }
+    }
 
 
 def test_homology_zero_row_map_keeps_its_width(capsys):
@@ -247,6 +283,22 @@ def test_describe_garbage(capsys):
 
 
 # -- usage ---------------------------------------------------------------------
+
+
+def test_describe_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"field": "q", "algebra": "\u00e9"}'.encode("latin-1"))
+    rc, _, err = run(capsys, "describe", str(path))
+    assert rc == 2
+    assert "not UTF-8" in err
+
+
+def test_describe_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    rc, _, err = run(capsys, "describe", str(path))
+    assert rc == 2
+    assert "nested too deeply" in err
 
 
 def test_unknown_subcommand(capsys):

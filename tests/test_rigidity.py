@@ -185,10 +185,6 @@ def test_tor_checks(data, spec):
     }
     assert by_name["image_identities"].details["image_dims"] == [4, 8]
     assert by_name["image_identities"].details["target_length_first_map"] == 12
-    assert report.image_checks == {
-        "first_map_image_is_radical": True,
-        "second_map_image_is_radical": True,
-    }
 
 
 def test_tor_checks_report_non_complex(data, spec):
