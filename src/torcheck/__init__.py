@@ -25,7 +25,6 @@ from .complexes import (
     TorReport,
     check_module_map,
     compose,
-    homology_at,
     image_equals_radical_power,
     induced_map,
     substitute_matrix,

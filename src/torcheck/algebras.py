@@ -6,6 +6,9 @@ Algebras here are commutative, associative, unital and local with residue
 field K: basis element 0 is the unit, the remaining basis elements span the
 Jacobson radical, and the radical is nilpotent.  All of this is brute-force
 checked when an algebra is constructed (dimensions never exceed a handful).
+Element coordinates are normalized into the field once, where they come in:
+in :meth:`ArtinAlgebra.element` and the scalar of a scalar product.  Every
+other element is built from field values by the arithmetic here.
 A module built from given action operators is checked against the module
 axioms; the modules derived here (free modules, direct sum powers, quotients)
 satisfy them by construction and skip the check.  The length of a module over
@@ -50,11 +53,9 @@ class ArtinAlgebra:
 
     def _validate(self):
         f, n = self.field, self.dim
-        unit = tuple(
-            tuple(f.one() if k == j else f.zero() for k in range(n)) for j in range(n)
-        )
         for j in range(n):
-            if self.mult[0][j] != unit[j] or self.mult[j][0] != unit[j]:
+            unit = self.basis_element(j).coords
+            if self.mult[0][j] != unit or self.mult[j][0] != unit:
                 raise ValueError("basis element 0 is not a two-sided unit")
         for i in range(n):
             for j in range(i + 1, n):
@@ -64,8 +65,8 @@ class ArtinAlgebra:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self._combine(self.mult[i][j], k, left=True)
-                    rhs = self._combine(self.mult[j][k], i, left=False)
+                    lhs = AlgebraElement(self, self.mult[i][j]) * self.basis_element(k)
+                    rhs = self.basis_element(i) * AlgebraElement(self, self.mult[j][k])
                     if lhs != rhs:
                         raise ValueError(
                             "multiplication is not associative at (%d, %d, %d)" % (i, j, k)
@@ -80,48 +81,24 @@ class ArtinAlgebra:
             for r in self.radical_indices:
                 if not f.is_zero(self.mult[i][r][0]):
                     raise ValueError("radical span is not an ideal")
-        # radical is nilpotent: iterated products shrink to zero
-        span = Matrix.from_cols(
-            f,
-            [[f.one() if k == r else f.zero() for k in range(n)] for r in self.radical_indices],
-            nrows=n,
-        )
-        for _ in range(n + 1):
-            if span.ncols == 0:
-                break
-            cols = []
-            for r in self.radical_indices:
-                prod = self.left_mult_matrix(r) @ span
-                cols.extend(prod.columns())
-            span = Matrix.from_cols(f, cols, nrows=n).image_basis()
-        else:
+        # a nilpotent radical of an n-dimensional algebra has rad^n = 0
+        if free_module(self, 1).radical_power_subspace(n).dim:
             raise ValueError("radical is not nilpotent")
-
-    def _combine(self, coords, idx, left):
-        # coords . (e_* e_idx)  or  e_idx . (e_* coords)
-        f, n = self.field, self.dim
-        acc = [f.zero()] * n
-        for m in range(n):
-            c = coords[m]
-            if f.is_zero(c):
-                continue
-            prod = self.mult[m][idx] if left else self.mult[idx][m]
-            for k in range(n):
-                acc[k] = f.add(acc[k], f.mul(c, prod[k]))
-        return tuple(acc)
 
     # -- elements -------------------------------------------------------
 
     def element(self, coords) -> "AlgebraElement":
+        """Element with the given coordinates, normalized into the field."""
+        coords = [self.field.normalize(c) for c in coords]
+        if len(coords) != self.dim:
+            raise ValueError("coordinate vector of wrong length")
         return AlgebraElement(self, coords)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [self.field.zero()] * self.dim)
 
     def one(self) -> "AlgebraElement":
-        coords = [self.field.zero()] * self.dim
-        coords[0] = self.field.one()
-        return AlgebraElement(self, coords)
+        return self.basis_element(0)
 
     def basis_element(self, i) -> "AlgebraElement":
         coords = [self.field.zero()] * self.dim
@@ -152,16 +129,17 @@ class ArtinAlgebra:
 
 
 class AlgebraElement:
-    """Element of an :class:`ArtinAlgebra`, stored as a coordinate vector."""
+    """Element of an :class:`ArtinAlgebra`, stored as a coordinate vector.
+
+    The constructor takes field values as they are; coordinates from outside
+    go through :meth:`ArtinAlgebra.element`, which normalizes and checks them.
+    """
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra, coords):
-        coords = tuple(algebra.field.normalize(c) for c in coords)
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate vector of wrong length")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -286,6 +264,15 @@ def _block_diag(field, blocks):
     return Matrix._raw(field, rows, total_cols)
 
 
+def _combination(field, actions, coords, dim):
+    """The ``dim x dim`` operator sum of ``coords[k] * actions[k]``."""
+    out = Matrix.zeros(field, dim, dim)
+    for a, c in zip(actions, coords):
+        if not field.is_zero(c):
+            out = out + a.scaled(c)
+    return out
+
+
 def check_module_axioms(algebra, actions):
     """Raise ``ValueError`` unless ``actions`` (one square operator per algebra
     basis element, over the algebra field) make a module: the unit acts as
@@ -301,12 +288,7 @@ def check_module_axioms(algebra, actions):
         raise ValueError("unit must act as the identity")
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
-            lhs = actions[i] @ actions[j]
-            rhs = Matrix.zeros(f, dim, dim)
-            for k, c in enumerate(algebra.mult[i][j]):
-                if not f.is_zero(c):
-                    rhs = rhs + actions[k].scaled(c)
-            if lhs != rhs:
+            if actions[i] @ actions[j] != _combination(f, actions, algebra.mult[i][j], dim):
                 raise ValueError(
                     "actions violate the structure constants at (%d, %d)" % (i, j)
                 )
@@ -359,12 +341,7 @@ class FDModule:
         """Operator by which an algebra element acts on the module."""
         if elem.algebra != self.algebra:
             raise ValueError("element of a different algebra")
-        f = self.algebra.field
-        out = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(elem.coords):
-            if not f.is_zero(c):
-                out = out + self.actions[i].scaled(c)
-        return out
+        return _combination(self.algebra.field, self.actions, elem.coords, self.dim)
 
     def length(self) -> int:
         """Composition length; equals dim_K because the algebra is local with
@@ -412,17 +389,9 @@ class FDModule:
             raise ValueError("subspace of a different module")
         f = self.algebra.field
         w = sub.basis
-        completion = []
-        cur = w
-        cur_rank = cur.rank()
-        for j in range(self.dim):
-            e = [f.zero()] * self.dim
-            e[j] = f.one()
-            cand = cur.hstack(Matrix.from_cols(f, [e]))
-            if cand.rank() > cur_rank:
-                completion.append(tuple(e))
-                cur = cand
-                cur_rank += 1
+        ident = Matrix.identity(f, self.dim)
+        _, pivots = w.hstack(ident).rref()
+        completion = [ident.column(p - w.ncols) for p in pivots if p >= w.ncols]
         section = Matrix.from_cols(f, completion, nrows=self.dim)
         change = w.hstack(section)
         inv = change.inverse()

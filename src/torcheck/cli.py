@@ -42,6 +42,32 @@ class InputError(Exception):
     """Malformed document or usage problem; maps to exit code 2."""
 
 
+# -- input size limits ---------------------------------------------------------
+# Each is checked before anything of that size is built, so a few bytes of JSON
+# cannot ask for gigabytes of memory or hours of work.  The bundled documents
+# use 2 generators, free modules of dimension 6, 8 x 3 = 24 as the largest
+# induced side and exponent 1; the benchmark's largest induced map is 192 x 96.
+
+# Validating an algebra takes O(dim^4) field operations: 1.2 s at 32
+# generators and 16 s at 64 (one core of a 2-CPU machine).
+MAX_GENERATORS = 32
+# S^r has dim S action operators of (dim S * r)^2 entries each: at most
+# 33 * 128^2 = 540k entries at this bound.
+MAX_MODULE_DIM = 128
+# A p x q matrix induces a (q * dim N) x (p * dim N) K-matrix on N^p -> N^q:
+# at most 1024^2 = 1M entries.  A zero module counts as dimension 1, since
+# N^p still holds p blocks per operator.
+MAX_MAP_DIM = 1024
+# AlgebraElement.__pow__ multiplies once per unit of exponent.
+MAX_EXPONENT = 1024
+
+
+def check_limit(value, limit, what):
+    """Input error unless ``value`` is at most ``limit``; ``what`` names the field."""
+    if value > limit:
+        raise InputError("%s is %d; at most %d is supported" % (what, value, limit))
+
+
 # -- field / scalar parsing ------------------------------------------------
 
 
@@ -101,6 +127,7 @@ def parse_algebra(field, obj):
     gens = obj.get("generators")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise InputError('"algebra.generators" must be a list of names')
+    check_limit(len(gens), MAX_GENERATORS, '"algebra.generators" count')
     try:
         return monomial_square_zero_algebra(field, gens)
     except ValueError as exc:
@@ -116,18 +143,20 @@ def parse_element(algebra, obj, where):
     return algebra.element(coords)
 
 
+def parse_rank(algebra, obj, key):
+    """The free rank under ``module.<key>``, its free module within the size limit."""
+    rank = parse_int(obj[key], 0, '"module.%s" must be a non-negative integer' % key)
+    check_limit(algebra.dim * rank, MAX_MODULE_DIM, '"module.%s": dimension of S^%d' % (key, rank))
+    return rank
+
+
 def parse_module(algebra, obj):
     if not isinstance(obj, dict):
         raise InputError('"module" must be an object')
     if "free_rank" in obj:
-        rank = parse_int(
-            obj["free_rank"], 0, '"module.free_rank" must be a non-negative integer'
-        )
-        return free_module(algebra, rank)
+        return free_module(algebra, parse_rank(algebra, obj, "free_rank"))
     if "quotient_of_free" in obj:
-        rank = parse_int(
-            obj["quotient_of_free"], 0, '"module.quotient_of_free" must be a non-negative integer'
-        )
+        rank = parse_rank(algebra, obj, "quotient_of_free")
         relations = obj.get("relations", [])
         if not isinstance(relations, list):
             raise InputError('"module.relations" must be a list')
@@ -189,14 +218,25 @@ def parse_poly(table, obj, where):
         for name, exp in monomial.items():
             if name not in table:
                 raise InputError("%s: unknown variable %r" % (where, name))
-            exps[table.index_of(name)] = parse_int(
-                exp, 1, "%s: exponent of %r must be a positive integer" % (where, name)
-            )
+            what = "%s: exponent of %r" % (where, name)
+            exp = parse_int(exp, 1, "%s must be a positive integer" % what)
+            check_limit(exp, MAX_EXPONENT, what)
+            exps[table.index_of(name)] = exp
         if exps:
             poly = poly + WeightedPoly.monomial(table, exps, coeff)
         else:
             poly = poly + WeightedPoly.constant(table, coeff)
     return poly
+
+
+def check_map_sizes(matrices, module, where):
+    """Input error unless each matrix induces a K-matrix on ``module`` with
+    sides within the size limit."""
+    scale = max(module.dim, 1)
+    for i, m in enumerate(matrices):
+        for name, size in (("rows", m.nrows), ("cols", m.ncols)):
+            what = '%s[%d]: "%s" times the module dimension' % (where, i, name)
+            check_limit(size * scale, MAX_MAP_DIM, what)
 
 
 def parse_poly_matrix(table, obj, where):
@@ -274,6 +314,7 @@ def parse_complex_doc(doc):
     if not isinstance(maps_json, list):
         raise InputError('"maps" must be a list')
     maps = [parse_algebra_matrix(algebra, m, "maps[%d]" % i) for i, m in enumerate(maps_json)]
+    check_map_sizes(maps, module, "maps")
     for i in range(len(maps) - 1):
         if maps[i].ncols != maps[i + 1].nrows:
             raise InputError(
@@ -360,6 +401,7 @@ def cmd_tor(args) -> int:
     mod_field, algebra, module = parse_module_doc(mod_doc)
     if res_field != mod_field:
         raise InputError("resolution and module use different fields")
+    check_map_sizes(matrices, module, "matrices")
     assignment = {
         name: parse_element(algebra, value, "assignment[%r]" % name)
         for name, value in assignment_json.items()

@@ -187,23 +187,11 @@ def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
 
 @dataclass(frozen=True)
 class HomologySummary:
+    """Homology at one module: its length (kernel dim - image dim) and both dims."""
+
     length: int
     kernel_dim: int
     image_dim: int
-
-
-def homology_at(incoming, outgoing) -> HomologySummary:
-    """Homology at the middle module of ``incoming: A -> B``, ``outgoing: B -> C``.
-
-    Either map may be ``None`` for the zero map at an end of a complex.  The
-    homology subquotient is automatically action-closed, so only its length
-    (= kernel dim - image dim) and the two dimensions are reported.
-    """
-    maps = [m for m in (incoming, outgoing) if m is not None]
-    if not maps:
-        raise ValueError("at least one map is required")
-    cx = ChainComplex(maps)
-    return cx.homology()[0 if incoming is None else 1]
 
 
 class ChainComplex:

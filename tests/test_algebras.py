@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,15 @@ def test_unit_and_element_arithmetic(S):
     assert (one + s) ** 2 == one + 2 * s
     assert s.in_radical() and not one.in_radical()
     assert one.constant_term() == 1
+
+
+def test_element_normalizes_and_checks_coordinates(S):
+    assert S.element([1, "1/2", 0]).coords == (1, Fraction(1, 2), 0)
+    assert monomial_square_zero_algebra(GF(5), ["s"]).element([7, -1]).coords == (2, 4)
+    with pytest.raises(ValueError, match="wrong length"):
+        S.element([1, 0])
+    with pytest.raises(TypeError, match="floating point"):
+        S.element([1.0, 0, 0])
 
 
 def test_bad_structure_constants_rejected():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -362,3 +363,70 @@ def test_booleans_are_not_integers(tmp_path, capsys, doc, message):
     rc, _, err = run(capsys, "describe", str(path))
     assert rc == 2
     assert message in err
+
+
+# -- size limits ----------------------------------------------------------------
+
+HUGE = 10**9
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "describe",
+            dict(SQUARE_ZERO, module={"free_rank": HUGE}),
+            '"module.free_rank": dimension of S^1000000000 is 2000000000; at most 128',
+        ),
+        (
+            "describe",
+            dict(SQUARE_ZERO, module={"quotient_of_free": HUGE}),
+            '"module.quotient_of_free": dimension of S^1000000000',
+        ),
+        (
+            "homology",
+            dict(
+                SQUARE_ZERO,
+                module={"free_rank": 1},
+                maps=[{"rows": 0, "cols": HUGE, "entries": []}],
+            ),
+            'maps[0]: "cols" times the module dimension is 2000000000; at most 1024',
+        ),
+        ("describe", _resolution_doc(exponent=HUGE), "exponent of 'a' is 1000000000; at most 1024"),
+        # a list of 10**9 names cannot be written without allocating it
+        (
+            "describe",
+            dict(
+                SQUARE_ZERO,
+                algebra={"type": "square_zero", "generators": ["g%d" % k for k in range(33)]},
+            ),
+            '"algebra.generators" count is 33; at most 32',
+        ),
+    ],
+    ids=["free_rank", "quotient_of_free", "map_cols", "exponent", "generators"],
+)
+def test_sizes_over_the_limit_are_rejected_before_allocating(
+    tmp_path, capsys, command, doc, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, command, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert message in err
+    assert peak < 2**20
+
+
+def test_tor_rejects_a_resolution_too_wide_for_the_module(tmp_path, capsys):
+    cols = 1024 // 3 + 1  # the bundled module has dimension 3
+    doc = _resolution_doc()
+    doc["matrices"] = [{"rows": 1, "cols": cols, "entries": [[[]] * cols]}]
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "tor", str(path), data_path("module.json"))
+    assert rc == 2
+    assert 'matrices[0]: "cols" times the module dimension is 1026; at most 1024' in err

@@ -10,7 +10,6 @@ from torcheck.complexes import (
     ModuleMap,
     NotAComplexError,
     compose,
-    homology_at,
     image_equals_radical_power,
     induced_map,
     substitute_matrix,
@@ -204,10 +203,9 @@ def test_homology_of_the_specialized_complex(scene):
     # independent rank oracle on the hand-assembled block matrices
     assert _ref_rank(_block_grid(N, Xbar)) == 4
     assert _ref_rank(_block_grid(N, Ybar)) == 8
-    middle = homology_at(fx, fy)
+    left, middle, _ = ChainComplex([fx, fy]).homology()
     assert middle.length == 0
     assert (middle.kernel_dim, middle.image_dim) == (4, 4)
-    left = homology_at(None, fx)
     assert left.length == 2
     assert left.kernel_dim == 2
 
@@ -216,14 +214,7 @@ def test_homology_identity_on_zero_module(scene):
     S, _, _, _, _, _, _, _ = scene
     Z = free_module(S, 0)
     ident = ModuleMap.identity(Z)
-    assert homology_at(ident, ident).length == 0
-
-
-def test_homology_rejects_non_complexes(scene):
-    _, N, _, _, _, _, _, _ = scene
-    ident = ModuleMap.identity(N)
-    with pytest.raises(NotAComplexError):
-        homology_at(ident, ident)
+    assert ChainComplex([ident, ident]).homology()[1].length == 0
 
 
 def test_chain_complex_validates(scene):

@@ -1,12 +1,13 @@
 """Property-based fuzz of the JSON parsers through the command line.
 
 Each example takes the bundled documents, mutates one of them (drops keys,
-swaps in booleans, floats, strings, nested lists and small integers) and runs
+swaps in booleans, floats, strings, nested lists and integers) and runs
 ``main`` on it.  Whatever the input, ``main`` must return 0, 1 or 2 without
 raising, and 1 only for a complex whose composite does not vanish.
 
-Every integer the strategies draw lies in -2..4, so no mutated size can
-allocate large matrices.
+Every integer the strategies draw lies in -2..4 or is 10**9.  The command line
+rejects 10**9 in every size field (ranks, matrix sizes, exponents) before it
+builds anything of that size, so no mutant can allocate large matrices.
 """
 
 import contextlib
@@ -36,11 +37,11 @@ COMMANDS = (
     ("describe", "complex.json"),
 )
 
-SMALL_INTS = st.integers(min_value=-2, max_value=4)
+INTS = st.one_of(st.integers(min_value=-2, max_value=4), st.just(10**9))
 SCALARS = st.one_of(
     st.booleans(),
     st.none(),
-    SMALL_INTS,
+    INTS,
     st.floats(min_value=-2, max_value=4, allow_nan=False),
     st.text(max_size=4),
     st.sampled_from(["0", "1", "-1", "1/2", "0/0", "s", "x11", "q"]),

@@ -1,15 +1,23 @@
 """Modules and maps that the library builds itself (free modules, direct sum
 powers, quotients, zero and identity maps, induced maps and composites) skip
-the public constructors' checks, being valid by construction.  Here every
-such object built while the battery and the bundled commands run is recorded
-and put through the public validators, so the invariants are still checked.
+the public constructors' checks, being valid by construction, and algebra
+elements are normalized only where their coordinates come from outside.  Here
+every such object built while the battery and the bundled commands run is
+recorded and put through the public validators, so the invariants are still
+checked.
 """
 
+import random
 from importlib.resources import files
 
 import pytest
 
-from torcheck.algebras import FDModule, check_module_axioms
+from torcheck.algebras import (
+    AlgebraElement,
+    FDModule,
+    check_module_axioms,
+    monomial_square_zero_algebra,
+)
 from torcheck.cli import main
 from torcheck.complexes import ModuleMap, check_module_map
 from torcheck.linalg import GF, QQ
@@ -34,7 +42,21 @@ def built(monkeypatch):
     return record
 
 
-def test_trusted_objects_pass_the_public_validators(built, capsys):
+@pytest.fixture
+def elements(monkeypatch):
+    """List of every algebra element constructed."""
+    made = []
+    init = AlgebraElement.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", recording)
+    return made
+
+
+def run_battery_and_commands(capsys):
     for field in (GF(101), QQ):
         assert full_report(field).overall_pass
     resolution, module, cx = (
@@ -44,6 +66,10 @@ def test_trusted_objects_pass_the_public_validators(built, capsys):
     assert main(["homology", cx]) == 0
     capsys.readouterr()
 
+
+def test_trusted_objects_pass_the_public_validators(built, capsys):
+    run_battery_and_commands(capsys)
+
     modules, maps = built[FDModule], built[ModuleMap]
     assert {m.dim for m in modules} >= {3, 6, 12, 24}
     assert len(maps) >= 4
@@ -51,3 +77,18 @@ def test_trusted_objects_pass_the_public_validators(built, capsys):
         check_module_axioms(m.algebra, m.actions)
     for f in maps:
         check_module_map(f.source, f.target, f.matrix)
+
+
+def test_elements_hold_normalized_coordinates(elements, capsys):
+    run_battery_and_commands(capsys)
+    # Every product above has the unit as a factor or two radical factors,
+    # whose product vanishes; products of general elements are added here.
+    S = monomial_square_zero_algebra(GF(101), ["s", "t"])
+    rng = random.Random(4)
+    for _ in range(20):
+        a, b = (S.element([rng.randrange(101) for _ in range(3)]) for _ in range(2))
+        a * b**2
+    made = list(elements)  # the checks below build elements too
+    assert len(made) > 10000
+    for e in made:
+        assert e.algebra.element(e.coords) == e, e.coords
