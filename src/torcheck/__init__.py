@@ -11,7 +11,6 @@ from .algebras import (
     AlgebraElement,
     ArtinAlgebra,
     FDModule,
-    Subspace,
     check_module_axioms,
     free_module,
     monomial_square_zero_algebra,

@@ -11,14 +11,17 @@ in :meth:`ArtinAlgebra.element` and the scalar of a scalar product.  Every
 other element is built from field values by the arithmetic here.
 A module built from given action operators is checked against the module
 axioms; the modules derived here (free modules, direct sum powers, quotients)
-satisfy them by construction and skip the check.  The length of a module over
-such an algebra equals its K-dimension, because the only simple module is the
-1-dimensional residue field.
+satisfy them by construction and skip the check.  Subspaces are basis
+matrices.  The library builds them only by generation (submodules, radical
+powers), so their columns are independent and closed under the action by
+construction and are not checked either; quotients are taken by generators.
+The length of a module over such an algebra equals its K-dimension, because
+the only simple module is the 1-dimensional residue field.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, ShapeError, same_span, subspace_leq
+from .linalg import Matrix, ShapeError, subspace_leq
 
 
 class ArtinAlgebra:
@@ -82,7 +85,7 @@ class ArtinAlgebra:
                 if not f.is_zero(self.mult[i][r][0]):
                     raise ValueError("radical span is not an ideal")
         # a nilpotent radical of an n-dimensional algebra has rad^n = 0
-        if free_module(self, 1).radical_power_subspace(n).dim:
+        if free_module(self, 1).radical_power_subspace(n).ncols:
             raise ValueError("radical is not nilpotent")
 
     # -- elements -------------------------------------------------------
@@ -348,8 +351,9 @@ class FDModule:
         residue field K."""
         return self.dim
 
-    def submodule_generated(self, gens) -> "Subspace":
-        """Smallest action-closed subspace containing the given vectors."""
+    def submodule_generated(self, gens) -> Matrix:
+        """Column basis of the smallest action-closed subspace containing the
+        given vectors."""
         f = self.algebra.field
         cols = []
         for g in gens:
@@ -358,37 +362,38 @@ class FDModule:
                 raise ShapeError("generator of wrong length (%d != %d)" % (len(g), self.dim))
             for a in self.actions:
                 cols.append(a.apply(g))
-        basis = Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
-        return Subspace(self, basis)
+        return Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
 
-    def radical_submodule(self) -> "Subspace":
+    def radical_submodule(self) -> Matrix:
         return self.radical_power_subspace(1)
 
-    def radical_power_subspace(self, k: int) -> "Subspace":
-        """rad(A)^k . M as a subspace (k = 0 gives the whole module)."""
+    def radical_power_subspace(self, k: int) -> Matrix:
+        """Column basis of rad(A)^k . M (k = 0 gives the whole module)."""
         if k < 0:
             raise ValueError("power must be non-negative")
         f = self.algebra.field
         span = Matrix.identity(f, self.dim)
         for _ in range(k):
+            if not span.ncols:
+                break
             cols = []
             for r in self.algebra.radical_indices:
                 cols.extend((self.actions[r] @ span).columns())
             span = Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
-        return Subspace(self, span)
+        return span
 
-    def quotient_module(self, sub: "Subspace"):
-        """Quotient by an action-closed subspace.
+    def quotient_module(self, gens):
+        """Quotient by the submodule generated by the vectors ``gens``.
 
-        Returns ``(Q, projection)`` where ``projection`` is the surjective
-        coordinate map of shape ``Q.dim x self.dim`` with kernel exactly the
-        subspace.  The complement basis is chosen greedily from the standard
-        basis in index order, so the construction is deterministic.
+        The submodule is generated here, so it is closed under the action by
+        construction.  Returns ``(Q, projection)`` where ``projection`` is the
+        surjective coordinate map of shape ``Q.dim x self.dim`` with kernel
+        exactly the submodule.  The complement basis is chosen greedily from
+        the standard basis in index order, so the construction is
+        deterministic and depends only on the span of ``gens``.
         """
-        if sub.module is not self:
-            raise ValueError("subspace of a different module")
         f = self.algebra.field
-        w = sub.basis
+        w = self.submodule_generated(gens)
         ident = Matrix.identity(f, self.dim)
         _, pivots = w.hstack(ident).rref()
         completion = [ident.column(p - w.ncols) for p in pivots if p >= w.ncols]
@@ -410,7 +415,12 @@ class FDModule:
 
 
 class Subspace:
-    """Action-closed subspace of an :class:`FDModule`, held as a column basis."""
+    """A column basis from outside the library, checked to span an
+    action-closed subspace of ``module``.
+
+    The library's own subspaces are plain basis matrices, closed by
+    construction (see the module docstring); this is the check for any other.
+    """
 
     def __init__(self, module, basis: Matrix):
         if basis.field != module.algebra.field or basis.nrows != module.dim:
@@ -422,16 +432,6 @@ class Subspace:
                 raise ValueError("subspace is not closed under the algebra action")
         self.module = module
         self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return self.basis.ncols
-
-    def same_as(self, other: "Subspace") -> bool:
-        return same_span(self.basis, other.basis)
-
-    def __repr__(self):
-        return "Subspace(dim %d of %r)" % (self.dim, self.module)
 
 
 def free_module(algebra: ArtinAlgebra, rank: int) -> FDModule:

@@ -160,7 +160,6 @@ def parse_module(algebra, obj):
         relations = obj.get("relations", [])
         if not isinstance(relations, list):
             raise InputError('"module.relations" must be a list')
-        ambient = free_module(algebra, rank)
         gens = []
         for k, rel in enumerate(relations):
             where = "relations[%d]" % k
@@ -170,9 +169,7 @@ def parse_module(algebra, obj):
             for component in rel:
                 coords.extend(parse_element(algebra, component, where).coords)
             gens.append(coords)
-        sub = ambient.submodule_generated(gens)
-        quotient, _ = ambient.quotient_module(sub)
-        return quotient
+        return free_module(algebra, rank).quotient_module(gens)[0]
     raise InputError('"module" needs "free_rank" or "quotient_of_free"')
 
 

@@ -300,6 +300,4 @@ def image_equals_radical_power(f: ModuleMap, k: int = 1) -> bool:
 
     Checked by mutual containment of spans, never by comparing bases.
     """
-    image = f.matrix.image_basis()
-    rad = f.target.radical_power_subspace(k)
-    return same_span(image, rad.basis)
+    return same_span(f.matrix.image_basis(), f.target.radical_power_subspace(k))

@@ -231,10 +231,7 @@ def build_specialization(field, u_image=None) -> SpecializationData:
         assignment["u%d%d" % (c1, c2)] = u_value
     F = free_module(S, 2)
     # relations (t,0), (0,s), (s,t) in coordinates over the basis (1,s,t|1,s,t)
-    W = F.submodule_generated(
-        [(0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1)]
-    )
-    N, _ = F.quotient_module(W)
+    N, _ = F.quotient_module([(0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1)])
     return SpecializationData(algebra=S, assignment=assignment, xbar=xbar, ybar=ybar, module=N)
 
 
@@ -309,7 +306,7 @@ def check_module_lengths(spec: SpecializationData) -> CheckResult:
     N = spec.module
     measured = {
         "N": N.length(),
-        "radical_N": N.radical_submodule().dim,
+        "radical_N": N.radical_submodule().ncols,
         "N4": N.direct_sum_power(4).length(),
         "N8": N.direct_sum_power(8).length(),
     }
@@ -383,12 +380,12 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
 
     kernel = fx.matrix.kernel_basis()
     radical_pairs = fx.source.radical_submodule()
-    tor2_ok = same_span(kernel, radical_pairs.basis)
+    tor2_ok = same_span(kernel, radical_pairs)
     checks.append(
         CheckResult(
             "tor2_equals_radical_pairs",
             tor2_ok,
-            {"kernel_dim": kernel.ncols, "radical_dim": radical_pairs.dim},
+            {"kernel_dim": kernel.ncols, "radical_dim": radical_pairs.ncols},
         )
     )
 

@@ -11,7 +11,7 @@ from torcheck.algebras import (
     free_module,
     monomial_square_zero_algebra,
 )
-from torcheck.linalg import GF, QQ, Matrix
+from torcheck.linalg import GF, QQ, Matrix, ShapeError, same_span
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ def n_module(S):
         (0, 1, 0, 0, 0, 1),  # (s, t)
     ]
     W = F.submodule_generated(gens)
-    N, proj = F.quotient_module(W)
+    N, proj = F.quotient_module(gens)
     return F, W, N, proj
 
 
@@ -134,48 +134,45 @@ def test_module_axioms_enforced(S):
 
 def test_bundled_quotient_module(S):
     F, W, N, proj = n_module(S)
-    assert W.dim == 3
+    assert W.ncols == 3
     assert N.dim == 3
     assert N.length() == 3
     assert proj.nrows == 3 and proj.ncols == 6
     assert proj.rank() == 3
-    assert (proj @ W.basis).is_zero()
+    assert (proj @ W).is_zero()
 
 
 def test_submodule_of_zero_generator(S):
     F = free_module(S, 2)
-    assert F.submodule_generated([(0,) * 6]).dim == 0
+    assert F.submodule_generated([(0,) * 6]).ncols == 0
 
 
 def test_unit_generates_regular_module(S):
     M = free_module(S, 1)
     W = M.submodule_generated([(1, 0, 0)])
-    assert W.dim == 3
+    assert W.ncols == 3
 
 
 def test_submodule_generation_idempotent(S):
     F, W, _, _ = n_module(S)
-    again = F.submodule_generated(W.basis.columns())
-    assert again.same_as(W)
+    again = F.submodule_generated(W.columns())
+    assert same_span(again, W)
 
 
 def test_quotient_extremes(S):
     M = free_module(S, 2)
-    zero_sub = M.submodule_generated([])
-    Q, proj = M.quotient_module(zero_sub)
+    Q, proj = M.quotient_module([])
     assert Q.dim == M.dim
     assert proj.rank() == M.dim
-    whole = M.submodule_generated([col for col in Matrix.identity(QQ, 6).columns()])
-    Q2, _ = M.quotient_module(whole)
+    Q2, _ = M.quotient_module(Matrix.identity(QQ, 6).columns())
     assert Q2.dim == 0
 
 
 def test_quotient_requires_matching_module(S):
     M = free_module(S, 2)
-    other = free_module(S, 1)
-    sub = other.submodule_generated([(1, 0, 0)])
-    with pytest.raises(ValueError):
-        M.quotient_module(sub)
+    # a generator of S^1 has the wrong length for S^2
+    with pytest.raises(ShapeError, match="wrong length"):
+        M.quotient_module([(1, 0, 0)])
 
 
 def test_subspace_closure_enforced(S):
@@ -190,28 +187,28 @@ def test_subspace_closure_enforced(S):
 
 def test_radical_of_bundled_module(S):
     _, _, N, _ = n_module(S)
-    assert N.radical_submodule().dim == 1
+    assert N.radical_submodule().ncols == 1
 
 
 def test_radical_of_free_modules(S):
     for k in (1, 2, 4):
         M = free_module(S, k)
         rad = M.radical_submodule()
-        assert rad.dim == 2 * k
-        Q, _ = M.quotient_module(rad)
+        assert rad.ncols == 2 * k
+        Q, _ = M.quotient_module(rad.columns())
         assert Q.dim == k
 
 
 def test_radical_of_zero_module(S):
     Z = free_module(S, 0)
-    assert Z.radical_submodule().dim == 0
+    assert Z.radical_submodule().ncols == 0
 
 
 def test_radical_powers(S):
     M = free_module(S, 2)
-    assert M.radical_power_subspace(0).dim == 6
-    assert M.radical_power_subspace(1).dim == 4
-    assert M.radical_power_subspace(2).dim == 0
+    assert M.radical_power_subspace(0).ncols == 6
+    assert M.radical_power_subspace(1).ncols == 4
+    assert M.radical_power_subspace(2).ncols == 0
 
 
 # -- direct sums and length -----------------------------------------------------
@@ -238,5 +235,5 @@ def test_length_additivity_random_quotients(S):
             for _ in range(rng.randrange(0, 3))
         ]
         W = M.submodule_generated(gens)
-        Q, _ = M.quotient_module(W)
-        assert M.length() == W.dim + Q.length()
+        Q, _ = M.quotient_module(gens)
+        assert M.length() == W.ncols + Q.length()

@@ -1,10 +1,11 @@
 """Modules and maps that the library builds itself (free modules, direct sum
 powers, quotients, zero and identity maps, induced maps and composites) skip
 the public constructors' checks, being valid by construction, and algebra
-elements are normalized only where their coordinates come from outside.  Here
-every such object built while the battery and the bundled commands run is
-recorded and put through the public validators, so the invariants are still
-checked.
+elements are normalized only where their coordinates come from outside.
+Subspaces are basis matrices, closed under the action by construction because
+they are generated (submodules and radical powers), and nothing checks them at
+run time.  Here every such object built while the battery and the bundled
+commands run is recorded and checked, so the invariants are still tested.
 """
 
 import random
@@ -16,11 +17,12 @@ from torcheck.algebras import (
     AlgebraElement,
     FDModule,
     check_module_axioms,
+    free_module,
     monomial_square_zero_algebra,
 )
 from torcheck.cli import main
 from torcheck.complexes import ModuleMap, check_module_map
-from torcheck.linalg import GF, QQ
+from torcheck.linalg import GF, QQ, subspace_leq
 from torcheck.rigidity import full_report
 
 DATA = files("torcheck").joinpath("data")
@@ -53,6 +55,22 @@ def elements(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(AlgebraElement, "__init__", recording)
+    return made
+
+
+@pytest.fixture
+def subspaces(monkeypatch):
+    """List of ``(module, basis)`` for every subspace basis the library builds."""
+    made = []
+    for name in ("submodule_generated", "radical_power_subspace"):
+        build = getattr(FDModule, name)
+
+        def recording(self, *args, build=build):
+            basis = build(self, *args)
+            made.append((self, basis))
+            return basis
+
+        monkeypatch.setattr(FDModule, name, recording)
     return made
 
 
@@ -92,3 +110,24 @@ def test_elements_hold_normalized_coordinates(elements, capsys):
     assert len(made) > 10000
     for e in made:
         assert e.algebra.element(e.coords) == e, e.coords
+
+
+def test_subspaces_are_independent_and_closed(subspaces, capsys):
+    run_battery_and_commands(capsys)
+    # The battery's relations are radical, and in a square-zero algebra those
+    # span a closed subspace by themselves; generators with unit coefficients
+    # are added here, whose submodules need every action.
+    S = monomial_square_zero_algebra(GF(101), ["s", "t"])
+    rng = random.Random(5)
+    for _ in range(20):
+        M = free_module(S, rng.randrange(1, 4))
+        gens = [
+            [rng.choice((0, rng.randrange(101))) for _ in range(M.dim)]
+            for _ in range(rng.randrange(0, 3))
+        ]
+        M.quotient_module(gens)
+    assert len(subspaces) > 20
+    for module, basis in subspaces:
+        assert basis.rank() == basis.ncols
+        for a in module.actions:
+            assert subspace_leq(a @ basis, basis)
