@@ -4,8 +4,9 @@ per algebra basis element.
 
 Algebras here are commutative, associative, unital and local with residue
 field K: basis element 0 is the unit, the remaining basis elements span the
-Jacobson radical, and the radical is nilpotent.  All of this is brute-force
-checked when an algebra is constructed (dimensions never exceed a handful).
+Jacobson radical, and the radical is nilpotent.  An algebra given from
+outside is checked as its own regular module, by the module axiom check; the
+algebras built here are valid by construction and skip it.
 Element coordinates are normalized into the field once, where they come in:
 in :meth:`ArtinAlgebra.element` and the scalar of a scalar product.  Every
 other element is built from field values by the arithmetic here.
@@ -28,11 +29,11 @@ class ArtinAlgebra:
     """Commutative local K-algebra with unit basis element 0.
 
     ``mult[i][j]`` is the coordinate vector of the product of basis elements
-    i and j.  ``radical_indices`` must list every non-unit basis index: the
+    i and j.  Every non-unit basis element lies in the radical, so the
     quotient by the radical is the 1-dimensional residue field.
     """
 
-    def __init__(self, field, basis_names, mult, radical_indices):
+    def __init__(self, field, basis_names, mult):
         basis_names = tuple(basis_names)
         n = len(basis_names)
         if n == 0 or basis_names[0] != "1":
@@ -47,45 +48,42 @@ class ArtinAlgebra:
             for j in range(n):
                 if len(table[i][j]) != n:
                     raise ValueError("structure constant vector of wrong length")
-        self.field = field
-        self.dim = n
-        self.basis_names = basis_names
-        self.mult = table
-        self.radical_indices = tuple(sorted(radical_indices))
+        self._set(field, basis_names, table)
         self._validate()
+
+    @classmethod
+    def _raw(cls, field, basis_names, mult):
+        """Internal constructor for a table of normalized coordinate tuples
+        that satisfies the axioms by construction."""
+        a = cls.__new__(cls)
+        a._set(field, tuple(basis_names), mult)
+        return a
+
+    def _set(self, field, basis_names, mult):
+        self.field = field
+        self.dim = len(basis_names)
+        self.basis_names = basis_names
+        self.mult = mult
+        self.radical_indices = tuple(range(1, self.dim))
 
     def _validate(self):
         f, n = self.field, self.dim
-        for j in range(n):
-            unit = self.basis_element(j).coords
-            if self.mult[0][j] != unit or self.mult[j][0] != unit:
-                raise ValueError("basis element 0 is not a two-sided unit")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.mult[i][j] != self.mult[j][i]:
                     raise ValueError("multiplication is not commutative at (%d, %d)" % (i, j))
-        # associativity on all basis triples
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = AlgebraElement(self, self.mult[i][j]) * self.basis_element(k)
-                    rhs = self.basis_element(i) * AlgebraElement(self, self.mult[j][k])
-                    if lhs != rhs:
-                        raise ValueError(
-                            "multiplication is not associative at (%d, %d, %d)" % (i, j, k)
-                        )
-        if self.radical_indices != tuple(range(1, n)):
-            raise ValueError(
-                "algebra must be local with 1-dimensional residue field: "
-                "radical must be spanned by every non-unit basis element"
-            )
+        # The algebra is checked as its own regular module: the unit acts as
+        # the identity (a two-sided unit, by commutativity), and
+        # L_i L_j = L_{e_i e_j} on every e_k is (e_i e_j) e_k = e_i (e_j e_k).
+        regular = free_module(self, 1)
+        check_module_axioms(self, regular.actions)
         # radical is an ideal: products never re-enter the span of the unit
         for i in range(n):
             for r in self.radical_indices:
                 if not f.is_zero(self.mult[i][r][0]):
                     raise ValueError("radical span is not an ideal")
         # a nilpotent radical of an n-dimensional algebra has rad^n = 0
-        if free_module(self, 1).radical_power_subspace(n).ncols:
+        if regular.radical_power_subspace(n).ncols:
             raise ValueError("radical is not nilpotent")
 
     # -- elements -------------------------------------------------------
@@ -113,8 +111,9 @@ class ArtinAlgebra:
 
     def left_mult_matrix(self, i) -> Matrix:
         """Matrix of multiplication by basis element i on the algebra itself."""
-        cols = [self.mult[i][j] for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+        n = self.dim
+        rows = [[self.mult[i][j][k] for j in range(n)] for k in range(n)]
+        return Matrix._raw(self.field, rows, n)
 
     def __eq__(self, other):
         return (
@@ -227,31 +226,23 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
     """K[g_1, ..., g_r] modulo all degree-2 monomials in the generators.
 
     The product of any two generators is zero, so the radical (spanned by the
-    generators) squares to zero.
+    generators) squares to zero.  The table is valid by construction; only
+    the names are checked.
     """
-    generator_names = list(generator_names)
-    if not generator_names:
-        raise ValueError("at least one generator is required")
-    names = ["1"] + generator_names
+    names = ("1",) + tuple(generator_names)
     n = len(names)
-    f = field
-    zero_vec = [f.zero()] * n
-
-    def unit_vec(j):
-        v = list(zero_vec)
-        v[j] = f.one()
-        return v
-
-    mult = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == 0:
-                mult[i][j] = unit_vec(j)
-            elif j == 0:
-                mult[i][j] = unit_vec(i)
-            else:
-                mult[i][j] = list(zero_vec)
-    return ArtinAlgebra(field, names, mult, range(1, n))
+    if n == 1:
+        raise ValueError("at least one generator is required")
+    if len(set(names)) != n:
+        raise ValueError("generator names must be distinct and differ from '1'")
+    zero, one = field.zero(), field.one()
+    unit = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
+    null = (zero,) * n
+    mult = tuple(
+        tuple(unit[j] if i == 0 else unit[i] if j == 0 else null for j in range(n))
+        for i in range(n)
+    )
+    return ArtinAlgebra._raw(field, names, mult)
 
 
 def _block_diag(field, blocks):
@@ -290,7 +281,7 @@ def check_module_axioms(algebra, actions):
     if actions[0] != Matrix.identity(f, dim):
         raise ValueError("unit must act as the identity")
     for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
+        for j in range(algebra.dim):
             if actions[i] @ actions[j] != _combination(f, actions, algebra.mult[i][j], dim):
                 raise ValueError(
                     "actions violate the structure constants at (%d, %d)" % (i, j)
@@ -302,8 +293,8 @@ class FDModule:
 
     The module is a K-space of dimension ``dim`` together with one ``dim x
     dim`` operator per algebra basis element.  Construction verifies the
-    module axioms against the structure constants (which also forces the
-    operators to commute, the algebra being commutative).
+    module axioms against the structure constants for every ordered pair of
+    basis elements, so the operators commute as the algebra does.
     """
 
     def __init__(self, algebra, actions):

@@ -89,7 +89,7 @@ def test_bad_structure_constants_rejected():
         [(0, 1), (1, 0)],
     ]
     with pytest.raises(ValueError, match="ideal"):
-        ArtinAlgebra(f, ["1", "s"], mult, [1])
+        ArtinAlgebra(f, ["1", "s"], mult)
 
 
 def test_nonnilpotent_radical_rejected():
@@ -99,7 +99,54 @@ def test_nonnilpotent_radical_rejected():
         [(0, 1), (0, 1)],
     ]
     with pytest.raises(ValueError, match="nilpotent"):
-        ArtinAlgebra(QQ, ["1", "s"], mult, [1])
+        ArtinAlgebra(QQ, ["1", "s"], mult)
+
+
+def _table(n, products):
+    """Structure constants over basis 0..n-1 with unit 0; ``products`` maps
+    index pairs (i, j) with i, j > 0 to the index of their product."""
+
+    def e(k):
+        return tuple(int(k == m) for m in range(n))
+
+    def product(i, j):
+        if i == 0 or j == 0:
+            return e(i + j)
+        return e(products[i, j]) if (i, j) in products else (0,) * n
+
+    return [[product(i, j) for j in range(n)] for i in range(n)]
+
+
+def test_unit_not_acting_as_identity_rejected():
+    mult = _table(2, {})
+    mult[0][1] = mult[1][0] = (0, 0)
+    with pytest.raises(ValueError, match="identity"):
+        ArtinAlgebra(QQ, ["1", "s"], mult)
+
+
+def test_noncommutative_table_rejected():
+    with pytest.raises(ValueError, match="not commutative at \\(1, 2\\)"):
+        ArtinAlgebra(QQ, ["1", "s", "t"], _table(3, {(1, 2): 2}))
+
+
+def test_wrong_length_structure_constants_rejected():
+    mult = _table(2, {})
+    mult[1][1] = (0,)
+    with pytest.raises(ValueError, match="wrong length"):
+        ArtinAlgebra(QQ, ["1", "s"], mult)
+
+
+def test_basis_must_start_with_unit():
+    with pytest.raises(ValueError, match="unit element named '1'"):
+        ArtinAlgebra(QQ, ["s", "1"], _table(2, {}))
+
+
+def test_nonassociative_table_rejected():
+    # basis 1, a, b, c, d with ab = ba = c and bc = cb = d: commutative, its
+    # radical is a nilpotent ideal, but (ab)b = d while a(bb) = 0
+    mult = _table(5, {(1, 2): 3, (2, 1): 3, (2, 3): 4, (3, 2): 4})
+    with pytest.raises(ValueError, match="structure constants at \\(1, 2\\)"):
+        ArtinAlgebra(QQ, ["1", "a", "b", "c", "d"], mult)
 
 
 # -- free modules -----------------------------------------------------------
@@ -127,6 +174,15 @@ def test_module_axioms_enforced(S):
     bad = [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)]
     with pytest.raises(ValueError, match="structure constants"):
         FDModule(S, bad)
+
+
+def test_noncommuting_operators_rejected(S):
+    # A_s e0 = e1 and A_t e1 = e2: A_s A_t = 0 as st = 0 asks, but A_t A_s != 0
+    A_s = Matrix(QQ, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    A_t = Matrix(QQ, [[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    assert (A_s @ A_t).is_zero() and not (A_t @ A_s).is_zero()
+    with pytest.raises(ValueError, match="structure constants at \\(2, 1\\)"):
+        FDModule(S, [Matrix.identity(QQ, 3), A_s, A_t])
 
 
 # -- submodules and quotients -------------------------------------------------

@@ -421,6 +421,25 @@ def test_sizes_over_the_limit_are_rejected_before_allocating(
     assert peak < 2**20
 
 
+def test_describe_accepts_generators_at_the_limit(tmp_path, capsys):
+    gens = ["g%d" % k for k in range(32)]
+    path = tmp_path / "doc.json"
+    doc = {"field": "q", "algebra": {"type": "square_zero", "generators": gens}}
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "describe", str(path))
+    assert rc == 0
+    assert "square_zero dim 33 generators g0,g1," in out
+
+
+def test_generator_named_like_the_unit_rejected(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    doc = dict(SQUARE_ZERO, algebra={"type": "square_zero", "generators": ["s", "1"]})
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "describe", str(path))
+    assert rc == 2
+    assert "bad algebra: generator names must be distinct and differ from '1'" in err
+
+
 def test_tor_rejects_a_resolution_too_wide_for_the_module(tmp_path, capsys):
     cols = 1024 // 3 + 1  # the bundled module has dimension 3
     doc = _resolution_doc()

@@ -1,7 +1,8 @@
-"""Modules and maps that the library builds itself (free modules, direct sum
-powers, quotients, zero and identity maps, induced maps and composites) skip
-the public constructors' checks, being valid by construction, and algebra
-elements are normalized only where their coordinates come from outside.
+"""Algebras, modules and maps that the library builds itself (square-zero
+algebras, free modules, direct sum powers, quotients, zero and identity maps,
+induced maps and composites) skip the public constructors' checks, being
+valid by construction, and algebra elements are normalized only where their
+coordinates come from outside.
 Subspaces are basis matrices, closed under the action by construction because
 they are generated (submodules and radical powers), and nothing checks them at
 run time.  Here every such object built while the battery and the bundled
@@ -15,6 +16,7 @@ import pytest
 
 from torcheck.algebras import (
     AlgebraElement,
+    ArtinAlgebra,
     FDModule,
     check_module_axioms,
     free_module,
@@ -30,8 +32,9 @@ DATA = files("torcheck").joinpath("data")
 
 @pytest.fixture
 def built(monkeypatch):
-    """Lists of the modules and maps returned by the trusted constructors."""
-    record = {FDModule: [], ModuleMap: []}
+    """Lists of the algebras, modules and maps returned by the trusted
+    constructors."""
+    record = {ArtinAlgebra: [], FDModule: [], ModuleMap: []}
     for cls, objects in record.items():
         raw = cls._raw
 
@@ -95,6 +98,32 @@ def test_trusted_objects_pass_the_public_validators(built, capsys):
         check_module_axioms(m.algebra, m.actions)
     for f in maps:
         check_module_map(f.source, f.target, f.matrix)
+
+
+def test_trusted_algebras_pass_the_public_validator(built, capsys):
+    run_battery_and_commands(capsys)
+    for name in ("module.json", "complex.json"):
+        assert main(["describe", str(DATA.joinpath(name))]) == 0
+    capsys.readouterr()
+
+    algebras = built[ArtinAlgebra]
+    assert {a.field for a in algebras} == {GF(101), QQ}
+    for a in algebras:
+        assert ArtinAlgebra(a.field, a.basis_names, a.mult) == a
+
+
+def test_battery_and_commands_never_call_the_public_constructors(monkeypatch, capsys):
+    called = []
+    for cls in (ArtinAlgebra, FDModule, ModuleMap):
+        init = cls.__init__
+
+        def recording(self, *args, init=init):
+            called.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    run_battery_and_commands(capsys)
+    assert called == []
 
 
 def test_elements_hold_normalized_coordinates(elements, capsys):
