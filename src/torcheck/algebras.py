@@ -183,14 +183,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exp):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = self.algebra.one()
-        for _ in range(exp):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
@@ -259,12 +251,18 @@ def _block_diag(field, blocks):
 
 
 def _combination(field, actions, coords, dim):
-    """The ``dim x dim`` operator sum of ``coords[k] * actions[k]``."""
-    out = Matrix.zeros(field, dim, dim)
+    """The ``dim x dim`` operator sum of ``coords[k] * actions[k]``, built in
+    one pass over the entries that skips zero coefficients and zero entries."""
+    is_zero, add, mul = field.is_zero, field.add, field.mul
+    rows = [[field.zero()] * dim for _ in range(dim)]
     for a, c in zip(actions, coords):
-        if not field.is_zero(c):
-            out = out + a.scaled(c)
-    return out
+        if is_zero(c):
+            continue
+        for out, row in zip(rows, a.entries):
+            for j, x in enumerate(row):
+                if not is_zero(x):
+                    out[j] = add(out[j], mul(c, x))
+    return Matrix._raw(field, rows, dim)
 
 
 def check_module_axioms(algebra, actions):
@@ -382,17 +380,25 @@ class FDModule:
         exactly the submodule.  The complement basis is chosen greedily from
         the standard basis in index order, so the construction is
         deterministic and depends only on the span of ``gens``.
+
+        One rref of ``[W | I]`` (``W`` the ``k`` basis columns of the
+        submodule) gives both: the pivots past ``k`` pick the complement, and
+        rows ``k:``, columns ``k:`` of the reduced matrix are the projection,
+        since they kill ``W`` and are the identity on the complement.  Each
+        quotient operator is then the projection of the action restricted to
+        the complement columns.
         """
         f = self.algebra.field
         w = self.submodule_generated(gens)
-        ident = Matrix.identity(f, self.dim)
-        _, pivots = w.hstack(ident).rref()
-        completion = [ident.column(p - w.ncols) for p in pivots if p >= w.ncols]
-        section = Matrix.from_cols(f, completion, nrows=self.dim)
-        change = w.hstack(section)
-        inv = change.inverse()
-        proj = Matrix._raw(f, inv.entries[w.ncols :], self.dim)
-        actions = [proj @ a @ section for a in self.actions]
+        k = w.ncols
+        red, pivots = w.hstack(Matrix.identity(f, self.dim)).rref()
+        proj = Matrix._raw(f, [row[k:] for row in red.entries[k:]], self.dim)
+        completion = [p - k for p in pivots if p >= k]
+        actions = [
+            proj
+            @ Matrix._raw(f, [[row[c] for c in completion] for row in a.entries], len(completion))
+            for a in self.actions
+        ]
         return FDModule._raw(self.algebra, actions), proj
 
     def direct_sum_power(self, k: int) -> "FDModule":

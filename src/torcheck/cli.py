@@ -49,10 +49,10 @@ class InputError(Exception):
 # induced side and exponent 1; the benchmark's largest induced map is 192 x 96.
 
 # The square-zero algebra is built without a check, in under 1 ms at 32
-# generators.  The count bounds module work instead: a quotient conjugates all
-# r + 1 action operators, so "quotient_of_free" at its largest takes 2.5 s
-# over Q at 32 generators (S^3) and 14 s at 127 (S^1), one core of a 2-CPU
-# machine.
+# generators.  The count bounds module work instead: a quotient projects all
+# r + 1 action operators, one product each, so "quotient_of_free" at its
+# largest takes about 1.5 s over Q at 32 generators (S^3) and 10 to 13 s at 127
+# (S^1), one core of a 2-CPU machine.
 MAX_GENERATORS = 32
 # S^r has dim S action operators of (dim S * r)^2 entries each: at most
 # 33 * 128^2 = 540k entries at this bound.
@@ -61,7 +61,7 @@ MAX_MODULE_DIM = 128
 # at most 1024^2 = 1M entries.  A zero module counts as dimension 1, since
 # N^p still holds p blocks per operator.
 MAX_MAP_DIM = 1024
-# AlgebraElement.__pow__ multiplies once per unit of exponent.
+# Substitution multiplies by a variable's image once per unit of its exponent.
 MAX_EXPONENT = 1024
 
 
@@ -222,10 +222,7 @@ def parse_poly(table, obj, where):
             exp = parse_int(exp, 1, "%s must be a positive integer" % what)
             check_limit(exp, MAX_EXPONENT, what)
             exps[table.index_of(name)] = exp
-        if exps:
-            poly = poly + WeightedPoly.monomial(table, exps, coeff)
-        else:
-            poly = poly + WeightedPoly.constant(table, coeff)
+        poly = poly + WeightedPoly.monomial(table, exps, coeff)
     return poly
 
 

@@ -57,16 +57,6 @@ class AlgebraMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, algebra, nrows, ncols):
-        z = algebra.zero()
-        return cls(algebra, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, algebra, n):
-        one, zero = algebra.one(), algebra.zero()
-        return cls(algebra, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def entry(self, i, j):
         return self.entries[i][j]
 
@@ -120,9 +110,8 @@ class ModuleMap:
 
     ``matrix`` has shape ``target.dim x source.dim`` and acts on coordinate
     column vectors.  The public constructor checks commutation with every
-    action operator (:func:`check_module_map`); maps the library builds
-    (zero, identity, induced maps and composites) commute by construction
-    and skip the check.
+    action operator (:func:`check_module_map`); the induced maps the
+    library builds commute by construction and skip the check.
     """
 
     def __init__(self, source: FDModule, target: FDModule, matrix: Matrix):
@@ -139,19 +128,6 @@ class ModuleMap:
         m.target = target
         m.matrix = matrix
         return m
-
-    @classmethod
-    def zero(cls, source, target):
-        if source.algebra != target.algebra:
-            raise ValueError("source and target over different algebras")
-        return cls._raw(source, target, Matrix.zeros(source.algebra.field, target.dim, source.dim))
-
-    @classmethod
-    def identity(cls, module):
-        return cls._raw(module, module, Matrix.identity(module.algebra.field, module.dim))
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
 
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
@@ -176,13 +152,6 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> ModuleMap:
                 row.extend(b.entries[r])
             rows.append(row)
     return ModuleMap._raw(source, target, Matrix._raw(f, rows, d * a.nrows))
-
-
-def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """f after g."""
-    if g.target != f.source:
-        raise ShapeError("compose: target of second argument must equal source of first")
-    return ModuleMap._raw(g.source, f.target, f.matrix @ g.matrix)
 
 
 @dataclass(frozen=True)

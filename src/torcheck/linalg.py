@@ -213,11 +213,6 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls._raw(field, [[z] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, field, n):
         one, zero = field.one(), field.zero()
         return cls._raw(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
@@ -272,32 +267,6 @@ class Matrix:
         )
 
     # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other):
-        _check_same_field(self, other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("addition shape mismatch")
-        f = self.field
-        return Matrix._raw(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.ncols,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.field
-        return Matrix._raw(f, [[f.neg(x) for x in row] for row in self.entries], self.ncols)
-
-    def scaled(self, c) -> "Matrix":
-        f = self.field
-        c = f.normalize(c)
-        return Matrix._raw(f, [[f.mul(c, x) for x in row] for row in self.entries], self.ncols)
 
     def __matmul__(self, other):
         _check_same_field(self, other)
@@ -389,16 +358,6 @@ class Matrix:
         """Columns of ``self`` at the pivot positions; they span the column space."""
         _, pivots = self.rref()
         return Matrix.from_cols(self.field, [self.column(j) for j in pivots], nrows=self.nrows)
-
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ShapeError("only square matrices are invertible")
-        n = self.nrows
-        aug = self.hstack(Matrix.identity(self.field, n))
-        red, pivots = aug.rref()
-        if pivots[:n] != tuple(range(n)):
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix._raw(self.field, [row[n:] for row in red.entries], n)
 
 
 def dense_product(a, b, zero):

@@ -171,9 +171,6 @@ class WeightedPoly:
     def variables_used(self):
         return {idx for key in self.terms for idx, _ in key}
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def weighted_degree(self):
         """Classify against the table weights.
 
@@ -212,7 +209,8 @@ class WeightedPoly:
                     image = assignment[name]
                 except KeyError:
                     raise ValueError("no image assigned for variable %r" % name) from None
-                value = value * image**exp
+                for _ in range(exp):
+                    value = value * image
             result = result + coeff * value
         return result
 
@@ -265,11 +263,6 @@ class PolyMatrix:
                 row.append(WeightedPoly.variable(table, idx))
             rows.append(row)
         return cls(table, rows)
-
-    @classmethod
-    def zeros(cls, table, nrows, ncols):
-        z = WeightedPoly.zero(table)
-        return cls(table, [[z] * ncols for _ in range(nrows)])
 
     def entry(self, i, j):
         return self.entries[i][j]

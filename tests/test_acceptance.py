@@ -15,7 +15,7 @@ from pathlib import Path
 
 from torcheck.algebras import free_module, monomial_square_zero_algebra
 from torcheck.cli import main
-from torcheck.complexes import compose, induced_map, substitute_matrix
+from torcheck.complexes import induced_map, substitute_matrix
 from torcheck.linalg import GF, QQ, Matrix, subspace_leq
 from torcheck.poly import VarTable, WeightedPoly
 from torcheck.rigidity import (
@@ -200,7 +200,7 @@ def test_criterion_9_property_suites(capsys):
     for _ in range(8):
         a = AlgebraMatrix(S, [[rng.choice(elems) for _ in range(3)] for _ in range(2)])
         b = AlgebraMatrix(S, [[rng.choice(elems) for _ in range(2)] for _ in range(3)])
-        assert induced_map(a @ b, N).matrix == compose(induced_map(b, N), induced_map(a, N)).matrix
+        assert induced_map(a @ b, N).matrix == induced_map(b, N).matrix @ induced_map(a, N).matrix
 
     # substitution-homomorphism identities
     table = VarTable(FIELD)

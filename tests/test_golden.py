@@ -3,6 +3,11 @@
 Each file under ``tests/golden/`` holds the stdout of one ``main(argv)``
 call, written once by a known-good build.  A change that alters any byte of
 a report fails here; never regenerate a file to make a diff pass.
+
+Besides the bundled documents, two benchmark documents (``bench/gen.py``,
+seed 1) are pinned: their modules are non-trivial quotients and the dense
+complex has algebra entries with several non-zero coordinates, which the
+bundled example never has.
 """
 
 from importlib.resources import files
@@ -13,10 +18,18 @@ import pytest
 from torcheck.cli import main
 
 DATA = files("torcheck").joinpath("data")
-GOLDEN = Path(__file__).parent / "golden"
-BUNDLED = {"resolution": "resolution.json", "module": "module.json", "complex": "complex.json"}
+TESTS = Path(__file__).parent
+GOLDEN = TESTS / "golden"
+DOCUMENTS = {
+    "resolution": DATA.joinpath("resolution.json"),
+    "module": DATA.joinpath("module.json"),
+    "complex": DATA.joinpath("complex.json"),
+    "residue-resolution": TESTS / "fixtures" / "bench_residue_resolution.json",
+    "residue-module": TESTS / "fixtures" / "bench_residue_module.json",
+    "dense-complex": TESTS / "fixtures" / "bench_dense_complex.json",
+}
 
-# golden file stem -> argv, with bundled document keys in place of their paths
+# golden file stem -> argv, with document keys in place of their paths
 COMMANDS = {
     "verify-q": ["verify", "--field", "q"],
     "verify-fp101": ["verify", "--field", "fp:101"],
@@ -26,15 +39,20 @@ COMMANDS = {
     "describe-module": ["describe", "module"],
     "describe-complex": ["describe", "complex"],
 }
+# the benchmark documents are pinned in JSON only
+BENCH_COMMANDS = {
+    "tor-residue-fp101": ["tor", "residue-resolution", "residue-module"],
+    "homology-dense-q": ["homology", "dense-complex"],
+}
 CASES = [
     (stem + "." + fmt, argv + ["--format", fmt])
     for stem, argv in COMMANDS.items()
     for fmt in ("json", "text")
-]
+] + [(stem + ".json", argv + ["--format", "json"]) for stem, argv in BENCH_COMMANDS.items()]
 
 
 def golden_argv(argv):
-    return [str(DATA.joinpath(BUNDLED[a])) if a in BUNDLED else a for a in argv]
+    return [str(DOCUMENTS[a]) if a in DOCUMENTS else a for a in argv]
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])

@@ -95,7 +95,7 @@ def test_rref_idempotent():
 
 
 def test_rank_examples():
-    assert Matrix.zeros(QQ, 3, 5).rank() == 0
+    assert M(QQ, [[0] * 5] * 3).rank() == 0
     assert Matrix.identity(QQ, 4).rank() == 4
     assert M(GF(5), [[1, 2], [2, 4]]).rank() == 1
 
@@ -130,7 +130,7 @@ def test_kernel_over_f2_matches_enumeration():
 
 
 def test_image_basis_examples():
-    assert Matrix.zeros(QQ, 3, 2).image_basis().ncols == 0
+    assert M(QQ, [[0] * 2] * 3).image_basis().ncols == 0
     assert Matrix.identity(QQ, 3).image_basis() == Matrix.identity(QQ, 3)
     im = M(QQ, [[1, 2], [2, 4]]).image_basis()
     assert im.ncols == 1
@@ -216,19 +216,6 @@ def test_shape_errors():
         M(QQ, [[1, 2]]) @ M(QQ, [[1, 2]])
     with pytest.raises(ShapeError):
         subspace_leq(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
-
-
-def test_inverse_round_trip():
-    rng = random.Random(9)
-    found = 0
-    while found < 10:
-        m = M(QQ, [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)])
-        if m.rank() < 3:
-            continue
-        found += 1
-        assert m @ m.inverse() == Matrix.identity(QQ, 3)
-    with pytest.raises(ZeroDivisionError):
-        M(QQ, [[1, 2], [2, 4]]).inverse()
 
 
 def test_apply_matches_matmul():

@@ -160,7 +160,7 @@ def test_pd_witness_fails_with_unit_entry(data, spec):
 
 
 def test_pd_witness_zero_matrix_passes(data, spec):
-    corrupted = replace(spec, xbar=AlgebraMatrix.zeros(spec.algebra, 2, 4))
+    corrupted = replace(spec, xbar=AlgebraMatrix(spec.algebra, [[spec.algebra.zero()] * 4] * 2))
     assert check_pd_witness(data, corrupted).passed
 
 

@@ -134,7 +134,7 @@ def test_elements_hold_normalized_coordinates(elements, capsys):
     rng = random.Random(4)
     for _ in range(20):
         a, b = (S.element([rng.randrange(101) for _ in range(3)]) for _ in range(2))
-        a * b**2
+        a * b * b
     made = list(elements)  # the checks below build elements too
     assert len(made) > 10000
     for e in made:
