@@ -9,7 +9,7 @@ outside is checked as its own regular module, by the module axiom check; the
 algebras built here are valid by construction and skip it.
 Element coordinates are normalized into the field once, where they come in:
 in :meth:`ArtinAlgebra.element` and the scalar of a scalar product.  Every
-other element is built from field values by the arithmetic here.
+other element is built by the arithmetic here, which reduces each coordinate.
 A module built from given action operators is checked against the module
 axioms; the modules derived here (free modules, direct sum powers, quotients)
 satisfy them by construction and skip the check.  Subspaces are basis
@@ -40,14 +40,11 @@ class ArtinAlgebra:
             raise ValueError("basis must start with the unit element named '1'")
         if len(set(basis_names)) != n:
             raise ValueError("duplicate basis names")
-        table = tuple(
-            tuple(tuple(field.normalize(c) for c in mult[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                if len(table[i][j]) != n:
-                    raise ValueError("structure constant vector of wrong length")
+        if len(mult) != n or any(len(row) != n for row in mult):
+            raise ValueError("multiplication table must be %d x %d" % (n, n))
+        table = tuple(tuple(tuple(field.normalize(c) for c in v) for v in row) for row in mult)
+        if any(len(v) != n for row in table for v in row):
+            raise ValueError("structure constant vector of wrong length")
         self._set(field, basis_names, table)
         self._validate()
 
@@ -80,7 +77,7 @@ class ArtinAlgebra:
         # radical is an ideal: products never re-enter the span of the unit
         for i in range(n):
             for r in self.radical_indices:
-                if not f.is_zero(self.mult[i][r][0]):
+                if self.mult[i][r][0]:
                     raise ValueError("radical span is not an ideal")
         # a nilpotent radical of an n-dimensional algebra has rad^n = 0
         if regular.radical_power_subspace(n).ncols:
@@ -152,34 +149,35 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, [f.add(a, b) for a, b in zip(self.coords, other.coords)])
+        reduce = self.algebra.field.reduce
+        coords = [reduce(a + b) for a, b in zip(self.coords, other.coords)]
+        return AlgebraElement(self.algebra, coords)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.algebra.field
-        return AlgebraElement(self.algebra, [f.neg(a) for a in self.coords])
+        reduce = self.algebra.field.reduce
+        return AlgebraElement(self.algebra, [reduce(-a) for a in self.coords])
 
     def __mul__(self, other):
         f = self.algebra.field
         if not isinstance(other, AlgebraElement):
             c = f.normalize(other)
-            return AlgebraElement(self.algebra, [f.mul(c, a) for a in self.coords])
+            return AlgebraElement(self.algebra, [f.reduce(c * a) for a in self.coords])
         self._check(other)
-        n = self.algebra.dim
-        acc = [f.zero()] * n
+        acc = [f.zero()] * self.algebra.dim
         for i, a in enumerate(self.coords):
-            if f.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(other.coords):
-                if f.is_zero(b):
+                if not b:
                     continue
-                ab = f.mul(a, b)
+                ab = a * b
                 for k, c in enumerate(self.algebra.mult[i][j]):
-                    acc[k] = f.add(acc[k], f.mul(ab, c))
-        return AlgebraElement(self.algebra, acc)
+                    if c:
+                        acc[k] += ab * c
+        return AlgebraElement(self.algebra, [f.reduce(x) for x in acc])
 
     __rmul__ = __mul__
 
@@ -193,22 +191,21 @@ class AlgebraElement:
     def __hash__(self):
         return hash(self.coords)
 
-    def is_zero(self) -> bool:
-        f = self.algebra.field
-        return all(f.is_zero(c) for c in self.coords)
+    def __bool__(self):
+        return any(self.coords)
 
     def constant_term(self):
         """Coefficient on the unit basis element."""
         return self.coords[0]
 
     def in_radical(self) -> bool:
-        return self.algebra.field.is_zero(self.coords[0])
+        return not self.coords[0]
 
     def __repr__(self):
         f = self.algebra.field
         parts = []
         for name, c in zip(self.algebra.basis_names, self.coords):
-            if f.is_zero(c):
+            if not c:
                 continue
             parts.append(f.format(c) if name == "1" else "%s*%s" % (f.format(c), name))
         return " + ".join(parts) if parts else "0"
@@ -253,16 +250,16 @@ def _block_diag(field, blocks):
 def _combination(field, actions, coords, dim):
     """The ``dim x dim`` operator sum of ``coords[k] * actions[k]``, built in
     one pass over the entries that skips zero coefficients and zero entries."""
-    is_zero, add, mul = field.is_zero, field.add, field.mul
+    reduce = field.reduce
     rows = [[field.zero()] * dim for _ in range(dim)]
     for a, c in zip(actions, coords):
-        if is_zero(c):
+        if not c:
             continue
         for out, row in zip(rows, a.entries):
             for j, x in enumerate(row):
-                if not is_zero(x):
-                    out[j] = add(out[j], mul(c, x))
-    return Matrix._raw(field, rows, dim)
+                if x:
+                    out[j] += c * x
+    return Matrix._raw(field, [[reduce(x) for x in row] for row in rows], dim)
 
 
 def check_module_axioms(algebra, actions):
@@ -344,13 +341,14 @@ class FDModule:
         """Column basis of the smallest action-closed subspace containing the
         given vectors."""
         f = self.algebra.field
-        cols = []
+        gens = [tuple(g) for g in gens]
         for g in gens:
-            g = list(g)
             if len(g) != self.dim:
                 raise ShapeError("generator of wrong length (%d != %d)" % (len(g), self.dim))
-            for a in self.actions:
-                cols.append(a.apply(g))
+        g = Matrix.from_cols(f, gens, nrows=self.dim)
+        # generator-major: each generator's images under every action in turn
+        images = zip(*((a @ g).columns() for a in self.actions))
+        cols = [col for group in images for col in group]
         return Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
 
     def radical_submodule(self) -> Matrix:

@@ -50,8 +50,9 @@ class InputError(Exception):
 
 # The square-zero algebra is built without a check, in under 1 ms at 32
 # generators.  The count bounds module work instead: a quotient projects all
-# r + 1 action operators, one product each, so "quotient_of_free" at its
-# largest takes about 1.5 s over Q at 32 generators (S^3) and 10 to 13 s at 127
+# r + 1 action operators, one product each, so a "describe" of
+# "quotient_of_free" at its largest takes about 0.3 s of process time over Q at
+# 32 generators (S^3; 0.15 s for "free_rank") and its quotient about 1 s at 127
 # (S^1), one core of a 2-CPU machine.
 MAX_GENERATORS = 32
 # S^r has dim S action operators of (dim S * r)^2 entries each: at most

@@ -253,7 +253,7 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
         product = specialized[i] @ specialized[i + 1]
         for r, row in enumerate(product.entries):
             for c, value in enumerate(row):
-                if not value.is_zero():
+                if value:
                     raise NotAComplexError(
                         "composite of resolution matrices %d and %d substitutes to a "
                         "nonzero element at entry (%d, %d)" % (i, i + 1, r, c),

@@ -6,6 +6,13 @@ resolution is 96x192), so the implementation favours clarity over
 asymptotics: plain Gauss-Jordan elimination with exact arithmetic.  Rational
 entries are ``fractions.Fraction``, prime-field entries are integer residues
 in ``[0, p)``.  No floating point anywhere.
+
+Field values use Python's own ``+ - *`` and truth value.  A value from
+outside enters through the field's checked ``normalize``; a sum or product
+of values already in the field goes through its ``reduce`` (the identity over
+Q, ``% p`` over F_p) before it is stored, whether as a matrix entry, an
+algebra element coordinate or a polynomial coefficient.  A stored value is
+therefore false exactly when it is zero.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of rational numbers; values are reduced ``Fraction`` objects."""
+    """The field of rational numbers.  Values are ``Fraction`` objects with
+    Python's ``+ - *``, false exactly when zero; Fraction sums and products
+    are already in lowest terms, so :meth:`reduce` is the identity."""
 
-    kind = "rationals"
     label = "q"
 
     def normalize(self, x):
@@ -45,31 +53,19 @@ class RationalField:
             raise TypeError("floating point values are not exact; got %r" % (x,))
         return Fraction(x)
 
+    def reduce(self, x):
+        return x
+
     def zero(self):
         return Fraction(0)
 
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def parse(self, s: str):
         """Parse ``"num/den"`` or ``"num"`` (integer strings only)."""
@@ -96,9 +92,9 @@ class RationalField:
 
 
 class PrimeField:
-    """The prime field F_p for a word-size prime p; values are residues in [0, p)."""
-
-    kind = "prime_field"
+    """The prime field F_p for a word-size prime p.  Values are ``int``
+    residues in [0, p) with Python's ``+ - *``, false exactly when zero;
+    :meth:`reduce` takes integer sums and products back into [0, p)."""
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p < 2**31):
@@ -123,25 +119,13 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def reduce(self, x):
+        return x % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def parse(self, s: str):
         return int(s.strip()) % self.p
@@ -220,11 +204,13 @@ class Matrix:
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
         cols = [tuple(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            raise ShapeError("nrows required for a matrix with no columns")
-        return cls(field, [[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        if not cols:
+            if nrows is None:
+                raise ShapeError("nrows required for a matrix with no columns")
+            return cls(field, [()] * nrows)
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ShapeError("ragged columns")
+        return cls(field, list(zip(*cols)), ncols=len(cols))
 
     # -- basics -------------------------------------------------------
 
@@ -245,8 +231,7 @@ class Matrix:
         return "Matrix(%dx%d over %r: [%s])" % (self.nrows, self.ncols, self.field, body)
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def column(self, j):
         if not 0 <= j < self.ncols:
@@ -270,38 +255,9 @@ class Matrix:
 
     def __matmul__(self, other):
         _check_same_field(self, other)
-        if self.ncols != other.nrows:
-            raise ShapeError(
-                "product shape mismatch: %dx%d @ %dx%d"
-                % (self.nrows, self.ncols, other.nrows, other.ncols)
-            )
-        f = self.field
-        zero = f.zero()
-        is_zero, add, mul = f.is_zero, f.add, f.mul
-        out = []
-        for row_i in self.entries:
-            acc = [zero] * other.ncols
-            for k, a in enumerate(row_i):
-                if is_zero(a):
-                    continue
-                row_k = other.entries[k]
-                acc = [add(x, mul(a, b)) for x, b in zip(acc, row_k)]
-            out.append(acc)
-        return Matrix._raw(f, out, other.ncols)
-
-    def apply(self, vec):
-        """Matrix-vector product; ``vec`` has length ``ncols``."""
-        if len(vec) != self.ncols:
-            raise ShapeError("vector length %d != ncols %d" % (len(vec), self.ncols))
-        f = self.field
-        vec = [f.normalize(x) for x in vec]
-        out = []
-        for row in self.entries:
-            acc = f.zero()
-            for a, x in zip(row, vec):
-                acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        reduce = self.field.reduce
+        rows = dense_product(self, other, self.field.zero())
+        return Matrix._raw(self.field, [[reduce(x) for x in row] for row in rows], other.ncols)
 
     # -- elimination --------------------------------------------------
 
@@ -312,26 +268,23 @@ class Matrix:
         tuple of pivot column indices.
         """
         f = self.field
+        reduce = f.reduce
         m = [list(row) for row in self.entries]
         pivots = []
         pr = 0
         for pc in range(self.ncols):
             if pr == self.nrows:
                 break
-            pivot_row = None
-            for r in range(pr, self.nrows):
-                if not f.is_zero(m[r][pc]):
-                    pivot_row = r
-                    break
+            pivot_row = next((r for r in range(pr, self.nrows) if m[r][pc]), None)
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             inv = f.inv(m[pr][pc])
-            m[pr] = [f.mul(inv, x) for x in m[pr]]
+            m[pr] = [reduce(inv * x) for x in m[pr]]
             for r in range(self.nrows):
-                if r != pr and not f.is_zero(m[r][pc]):
-                    c = m[r][pc]
-                    m[r] = [f.sub(x, f.mul(c, y)) for x, y in zip(m[r], m[pr])]
+                c = m[r][pc]
+                if r != pr and c:
+                    m[r] = [reduce(x - c * y) for x, y in zip(m[r], m[pr])]
             pivots.append(pc)
             pr += 1
         return Matrix._raw(f, m, self.ncols), tuple(pivots)
@@ -350,7 +303,7 @@ class Matrix:
             v = [f.zero()] * self.ncols
             v[j] = f.one()
             for i, pc in enumerate(pivots):
-                v[pc] = f.neg(red.entries[i][j])
+                v[pc] = f.reduce(-red.entries[i][j])
             cols.append(v)
         return Matrix.from_cols(f, cols, nrows=self.ncols)
 
@@ -362,23 +315,25 @@ class Matrix:
 
 def dense_product(a, b, zero):
     """Rows of ``a @ b`` for dense matrices (``nrows``, ``ncols``, row-major
-    ``entries``) of any ring elements with ``is_zero()``; ``zero`` starts
-    every sum.  As in :meth:`Matrix.__matmul__`, zero entries of ``a`` are
-    skipped; each row's non-zero entries are found once for all columns."""
+    ``entries``) of ring elements that are false exactly when zero; ``zero``
+    starts every sum.  Each row of ``b`` is scanned once for its non-zero
+    entries and only pairs of non-zero entries are multiplied, so the products
+    number the sum over k of the non-zeros in column k of ``a`` times those in
+    row k of ``b``.  Sums are left as ``+`` gives them; a field caller reduces
+    them."""
     if a.ncols != b.nrows:
         raise ShapeError(
             "product shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
         )
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
     rows = []
     for row in a.entries:
-        terms = [(x, b.entries[j]) for j, x in enumerate(row) if not x.is_zero()]
-        out = []
-        for k in range(b.ncols):
-            acc = zero
-            for x, b_row in terms:
-                acc = acc + x * b_row[k]
-            out.append(acc)
-        rows.append(out)
+        acc = [zero] * b.ncols
+        for x, terms in zip(row, b_terms):
+            if terms and x:
+                for j, y in terms:
+                    acc[j] += x * y
+        rows.append(acc)
     return rows
 
 

@@ -55,13 +55,11 @@ class VarTable:
         return len(self._names)
 
 
-def _normalize_terms(field, raw):
-    """Drop zero coefficients; keys are sorted tuples of (var index, exponent>0)."""
-    out = {}
-    for key, coeff in raw.items():
-        if not field.is_zero(coeff):
-            out[key] = coeff
-    return out
+def _reduced_terms(field, raw):
+    """Reduce each coefficient and drop the zeros; keys are sorted tuples of
+    (var index, exponent>0)."""
+    reduce = field.reduce
+    return {key: c for key, coeff in raw.items() if (c := reduce(coeff))}
 
 
 class WeightedPoly:
@@ -85,7 +83,7 @@ class WeightedPoly:
     @classmethod
     def constant(cls, table, c):
         c = table.field.normalize(c)
-        if table.field.is_zero(c):
+        if not c:
             return cls(table, {})
         return cls(table, {(): c})
 
@@ -98,7 +96,7 @@ class WeightedPoly:
     def monomial(cls, table, exponents, coeff=1):
         """``exponents`` maps variable index (or name) to a positive exponent."""
         coeff = table.field.normalize(coeff)
-        if table.field.is_zero(coeff):
+        if not coeff:
             return cls(table, {})
         pairs = []
         for var, exp in exponents.items():
@@ -117,26 +115,28 @@ class WeightedPoly:
     def __add__(self, other):
         self._check_table(other)
         f = self.table.field
+        zero = f.zero()
         acc = dict(self.terms)
         for key, c in other.terms.items():
-            acc[key] = f.add(acc.get(key, f.zero()), c)
-        return WeightedPoly(self.table, _normalize_terms(f, acc))
+            acc[key] = acc.get(key, zero) + c
+        return WeightedPoly(self.table, _reduced_terms(f, acc))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.table.field
-        return WeightedPoly(self.table, {k: f.neg(c) for k, c in self.terms.items()})
+        reduce = self.table.field.reduce
+        return WeightedPoly(self.table, {k: reduce(-c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         f = self.table.field
         if not isinstance(other, WeightedPoly):
             c = f.normalize(other)
-            if f.is_zero(c):
+            if not c:
                 return WeightedPoly.zero(self.table)
-            return WeightedPoly(self.table, {k: f.mul(c, v) for k, v in self.terms.items()})
+            return WeightedPoly(self.table, {k: f.reduce(c * v) for k, v in self.terms.items()})
         self._check_table(other)
+        zero = f.zero()
         acc = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -144,9 +144,8 @@ class WeightedPoly:
                 for idx, e in kb:
                     exps[idx] = exps.get(idx, 0) + e
                 key = tuple(sorted(exps.items()))
-                c = f.mul(ca, cb)
-                acc[key] = f.add(acc.get(key, f.zero()), c)
-        return WeightedPoly(self.table, _normalize_terms(f, acc))
+                acc[key] = acc.get(key, zero) + ca * cb
+        return WeightedPoly(self.table, _reduced_terms(f, acc))
 
     __rmul__ = __mul__
 
@@ -162,8 +161,8 @@ class WeightedPoly:
 
     # -- queries --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self):
+        return bool(self.terms)
 
     def constant_term(self):
         return self.terms.get((), self.table.field.zero())

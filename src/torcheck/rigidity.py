@@ -275,7 +275,7 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
         for _, p in classes[class_name]:
             kind, d = p.weighted_degree()
             degrees.append(d if d is not None else -1)
-            factors.append(p.min_factor_count() if not p.is_zero() else 0)
+            factors.append(p.min_factor_count() if p else 0)
         min_degree[class_name] = min(degrees)
         min_factors[class_name] = min(factors)
         if min(factors) < 2 or min(degrees) < 4:
@@ -323,7 +323,7 @@ def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> Ch
     zero_count = 0
     offender = None
     for label, p in generators:
-        if p.substitute(spec.assignment, spec.algebra).is_zero():
+        if not p.substitute(spec.assignment, spec.algebra):
             zero_count += 1
         elif offender is None:
             offender = label
@@ -345,7 +345,7 @@ def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> Chec
         if offender:
             break
     symbolic_ok = all(
-        data.table.field.is_zero(data.x.entry(i, j).constant_term())
+        not data.x.entry(i, j).constant_term()
         for i in range(data.x.nrows)
         for j in range(data.x.ncols)
     )

@@ -107,13 +107,9 @@ def test_induced_map_sends_pairs_through_the_displayed_matrix(scene):
     act_s = N.element_action(S.generator("s"))
     act_t = N.element_action(S.generator("t"))
     for n1 in range(3):
-        v = [0] * 6
-        v[n1] = 1
-        out = f.matrix.apply(v)
+        out = f.matrix.column(n1)
         # (n1, 0) |-> (s.n1, 0, t.n1, 0)
-        e = [0] * 3
-        e[n1] = 1
-        expected = list(act_s.apply(e)) + [0] * 3 + list(act_t.apply(e)) + [0] * 3
+        expected = list(act_s.column(n1)) + [0] * 3 + list(act_t.column(n1)) + [0] * 3
         assert list(out) == [QQ.normalize(c) for c in expected]
 
 

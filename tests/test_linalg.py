@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torcheck.linalg import (
     GF,
@@ -11,6 +14,7 @@ from torcheck.linalg import (
     Matrix,
     PrimeField,
     ShapeError,
+    dense_product,
     same_span,
     subspace_leq,
 )
@@ -34,8 +38,8 @@ def test_prime_field_rejects_composites():
 
 def test_prime_field_arithmetic():
     f = GF(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
+    assert f.reduce(5 + 4) == 2
+    assert f.reduce(3 * 5) == 1
     assert f.inv(3) == 5
     assert f.normalize(-1) == 6
     assert f.parse("-3") == 4
@@ -218,10 +222,14 @@ def test_shape_errors():
         subspace_leq(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
 
 
-def test_apply_matches_matmul():
-    m = M(GF(7), [[1, 2, 3], [4, 5, 6]])
-    v = (1, 1, 2)
-    assert m.apply(v) == ((1 + 2 + 6) % 7, (4 + 5 + 12) % 7)
+def test_from_cols_rejects_a_longer_later_column():
+    with pytest.raises(ShapeError, match="ragged columns"):
+        Matrix.from_cols(GF(5), [(1, 2), (1, 2, 3)])
+
+
+def test_from_cols_rejects_a_shorter_later_column():
+    with pytest.raises(ShapeError, match="ragged columns"):
+        Matrix.from_cols(GF(5), [(1, 2, 3), (1, 2)])
 
 
 def test_zero_dimension_matrices():
@@ -231,3 +239,90 @@ def test_zero_dimension_matrices():
     no_rows = Matrix(QQ, [], ncols=3)
     assert no_rows.rank() == 0
     assert no_rows.kernel_basis().ncols == 3
+
+
+# -- the product kernel -------------------------------------------------------
+
+
+class Counted:
+    """Integer ring element that counts its products."""
+
+    products = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __add__(self, other):
+        return Counted(self.v + other.v)
+
+    def __mul__(self, other):
+        Counted.products += 1
+        return Counted(self.v * other.v)
+
+
+def test_dense_product_multiplies_only_non_zero_pairs(monkeypatch):
+    rng = random.Random(8)
+    for _ in range(50):
+        n, k, m = (rng.randrange(0, 7) for _ in range(3))
+        a = [[rng.choice((0, 0, rng.randrange(-3, 4))) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice((0, 0, rng.randrange(-3, 4))) for _ in range(m)] for _ in range(k)]
+
+        def wrap(rows, ncols):
+            entries = [[Counted(x) for x in row] for row in rows]
+            return SimpleNamespace(nrows=len(rows), ncols=ncols, entries=entries)
+
+        monkeypatch.setattr(Counted, "products", 0)
+        out = dense_product(wrap(a, k), wrap(b, m), Counted(0))
+        expected = sum(
+            sum(1 for row in a if row[j]) * sum(1 for x in b[j] if x) for j in range(k)
+        )
+        assert Counted.products == expected
+        assert [[x.v for x in row] for row in out] == [
+            [sum(a[i][j] * b[j][c] for j in range(k)) for c in range(m)] for i in range(n)
+        ]
+
+
+@st.composite
+def sparse_product_operands(draw):
+    """A field and two chaining matrices over it, each at least half zeros."""
+    field = draw(st.sampled_from([GF(101), QQ]))
+    if field == QQ:
+        value = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+    else:
+        value = st.integers(-300, 300)
+
+    def matrix(nrows, ncols):
+        size = nrows * ncols
+        values = draw(st.lists(value, min_size=size, max_size=size))
+        zeros = draw(st.sets(st.integers(0, max(size - 1, 0)), min_size=(size + 1) // 2))
+        flat = [0 if i in zeros else x for i, x in enumerate(values)]
+        rows = [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+        return Matrix(field, rows, ncols=ncols)
+
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    return field, matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_product_operands())
+def test_product_matches_a_triple_loop_and_stays_reduced(operands):
+    field, a, b = operands
+    product_ = a @ b
+    expected = [
+        [
+            field.normalize(sum(a.entries[i][j] * b.entries[j][c] for j in range(a.ncols)))
+            for c in range(b.ncols)
+        ]
+        for i in range(a.nrows)
+    ]
+    assert (product_.nrows, product_.ncols) == (a.nrows, b.ncols)
+    assert [list(row) for row in product_.entries] == expected
+    for row in product_.entries:
+        for x in row:
+            if field == QQ:
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < field.p

@@ -249,7 +249,7 @@ def test_substitute_kills_radical_squares(square_zero):
     table.add_var("x11", 2)
     table.add_var("y11", 3)
     p = mono(table, {"x11": 1, "y11": 1})
-    assert p.substitute({"x11": s, "y11": s}, S).is_zero()
+    assert not p.substitute({"x11": s, "y11": s}, S)
 
 
 def test_substitute_displayed_minor(square_zero):
@@ -258,7 +258,7 @@ def test_substitute_displayed_minor(square_zero):
     x = PolyMatrix.generic(table, "x", 2, 4, 2)
     f = x.minor([0, 1], [2, 3])
     assignment = {"x13": t, "x24": t, "x14": S.zero(), "x23": S.zero()}
-    assert f.substitute(assignment, S).is_zero()
+    assert not f.substitute(assignment, S)
 
 
 def test_substitute_constant(square_zero):
@@ -321,10 +321,10 @@ def test_radical_assignment_kills_two_factor_terms(square_zero):
             exps = {n: 1 for n in rng.sample(names, 2)}
             p = p + mono(table, exps, rng.randrange(1, 5))
         assignment = {n: rng.choice(radical101) for n in names}
-        if p.is_zero():
+        if not p:
             continue
         assert p.min_factor_count() >= 2
-        assert p.substitute(assignment, S101).is_zero()
+        assert not p.substitute(assignment, S101)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])

@@ -5,11 +5,15 @@ valid by construction, and algebra elements are normalized only where their
 coordinates come from outside.
 Subspaces are basis matrices, closed under the action by construction because
 they are generated (submodules and radical powers), and nothing checks them at
-run time.  Here every such object built while the battery and the bundled
-commands run is recorded and checked, so the invariants are still tested.
+run time.  Sums and products of field values are reduced where they are
+stored, in matrices built by ``Matrix._raw``, algebra elements and
+polynomials, and nowhere checked.  Here every such object built while the
+battery and the bundled commands run is recorded and checked, so the
+invariants are still tested.
 """
 
 import random
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
@@ -24,7 +28,8 @@ from torcheck.algebras import (
 )
 from torcheck.cli import main
 from torcheck.complexes import ModuleMap, check_module_map
-from torcheck.linalg import GF, QQ, subspace_leq
+from torcheck.linalg import GF, QQ, Matrix, subspace_leq
+from torcheck.poly import VarTable, WeightedPoly
 from torcheck.rigidity import full_report
 
 DATA = files("torcheck").joinpath("data")
@@ -48,17 +53,34 @@ def built(monkeypatch):
 
 
 @pytest.fixture
-def elements(monkeypatch):
-    """List of every algebra element constructed."""
-    made = []
-    init = AlgebraElement.__init__
+def stored(monkeypatch):
+    """Lists of every algebra element, polynomial and ``Matrix._raw`` matrix
+    constructed."""
+    record = {AlgebraElement: [], WeightedPoly: [], Matrix: []}
+    for cls in (AlgebraElement, WeightedPoly):
+        init, made = cls.__init__, record[cls]
 
-    def recording(self, *args):
-        init(self, *args)
-        made.append(self)
+        def recording(self, *args, init=init, made=made):
+            init(self, *args)
+            made.append(self)
 
-    monkeypatch.setattr(AlgebraElement, "__init__", recording)
-    return made
+        monkeypatch.setattr(cls, "__init__", recording)
+    raw = Matrix._raw
+
+    def recording_raw(*args):
+        m = raw(*args)
+        record[Matrix].append(m)
+        return m
+
+    monkeypatch.setattr(Matrix, "_raw", staticmethod(recording_raw))
+    return record
+
+
+def is_reduced(field, x):
+    """A ``Fraction`` over Q, an ``int`` in [0, p) over F_p."""
+    if field == QQ:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < field.p
 
 
 @pytest.fixture
@@ -126,19 +148,36 @@ def test_battery_and_commands_never_call_the_public_constructors(monkeypatch, ca
     assert called == []
 
 
-def test_elements_hold_normalized_coordinates(elements, capsys):
+def test_elements_hold_normalized_coordinates(stored, capsys):
     run_battery_and_commands(capsys)
     # Every product above has the unit as a factor or two radical factors,
-    # whose product vanishes; products of general elements are added here.
+    # whose product vanishes, and the bundled coefficients are small, so no sum
+    # above reaches p; products and sums of general elements and polynomials
+    # are added here.
     S = monomial_square_zero_algebra(GF(101), ["s", "t"])
+    table = VarTable(GF(101))
+    table.add_var("x", 1)
     rng = random.Random(4)
     for _ in range(20):
         a, b = (S.element([rng.randrange(101) for _ in range(3)]) for _ in range(2))
-        a * b * b
-    made = list(elements)  # the checks below build elements too
-    assert len(made) > 10000
-    for e in made:
+        a * b * b - a + b
+        p, q = (
+            WeightedPoly.monomial(table, {"x": 1}, rng.randrange(1, 101))
+            + WeightedPoly.constant(table, rng.randrange(101))
+            for _ in range(2)
+        )
+        p * q - p + q
+    # the checks below build elements and matrices too
+    elements, polys, matrices = (list(stored[c]) for c in (AlgebraElement, WeightedPoly, Matrix))
+    assert len(elements) > 10000 and len(polys) > 1000 and len(matrices) > 100
+    assert {p.table.field for p in polys} == {m.field for m in matrices} == {GF(101), QQ}
+    for e in elements:
         assert e.algebra.element(e.coords) == e, e.coords
+        assert all(is_reduced(e.algebra.field, c) for c in e.coords), e.coords
+    for p in polys:
+        assert all(c and is_reduced(p.table.field, c) for c in p.terms.values()), p.terms
+    for m in matrices:
+        assert all(is_reduced(m.field, x) for row in m.entries for x in row), m
 
 
 def test_subspaces_are_independent_and_closed(subspaces, capsys):
