@@ -339,17 +339,16 @@ class FDModule:
 
     def submodule_generated(self, gens) -> Matrix:
         """Column basis of the smallest action-closed subspace containing the
-        given vectors."""
+        given vectors.  They are first cut down to a basis of their span, so
+        the work after that is bounded by the module dimension; the unit acts
+        as the identity, so that basis is followed by its other images."""
         f = self.algebra.field
         gens = [tuple(g) for g in gens]
         for g in gens:
             if len(g) != self.dim:
                 raise ShapeError("generator of wrong length (%d != %d)" % (len(g), self.dim))
-        g = Matrix.from_cols(f, gens, nrows=self.dim)
-        # generator-major: each generator's images under every action in turn
-        images = zip(*((a @ g).columns() for a in self.actions))
-        cols = [col for group in images for col in group]
-        return Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
+        basis = Matrix.from_cols(f, gens, nrows=self.dim).image_basis()
+        return basis.hstack(*(a @ basis for a in self.actions[1:])).image_basis()
 
     def radical_submodule(self) -> Matrix:
         return self.radical_power_subspace(1)
@@ -359,14 +358,13 @@ class FDModule:
         if k < 0:
             raise ValueError("power must be non-negative")
         f = self.algebra.field
+        empty = Matrix._raw(f, [()] * self.dim, 0)
         span = Matrix.identity(f, self.dim)
         for _ in range(k):
             if not span.ncols:
                 break
-            cols = []
-            for r in self.algebra.radical_indices:
-                cols.extend((self.actions[r] @ span).columns())
-            span = Matrix.from_cols(f, cols, nrows=self.dim).image_basis()
+            images = (self.actions[r] @ span for r in self.algebra.radical_indices)
+            span = empty.hstack(*images).image_basis()
         return span
 
     def quotient_module(self, gens):

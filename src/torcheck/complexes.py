@@ -10,6 +10,11 @@ in N^q.  This matches resolutions written left to right as
 
 with X of shape 2 x 4.  The mirror-image column convention is isomorphic but
 must not be mixed with this one.
+
+An :class:`AlgebraMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over an
+algebra.  Its public constructor checks that each entry from outside belongs
+to the algebra; products, substitutions and the K-matrices of induced maps
+are built by the trusted ``_raw``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import AlgebraElement, FDModule
-from .linalg import Matrix, ShapeError, dense_product, same_span
+from .linalg import DenseMatrix, Matrix, ShapeError, dense_product, same_span
 
 
 class NotAComplexError(ValueError):
@@ -29,61 +34,29 @@ class NotAComplexError(ValueError):
         self.entry = entry
 
 
-class AlgebraMatrix:
-    """Dense matrix of :class:`AlgebraElement` entries over one algebra.
+class AlgebraMatrix(DenseMatrix):
+    """Dense matrix over an algebra; an entry from outside must be an
+    :class:`AlgebraElement` of that algebra."""
 
-    As for :class:`~torcheck.linalg.Matrix`, a matrix with no rows takes its
-    width from ``ncols``.
-    """
+    __slots__ = ()
+    algebra = DenseMatrix.ring
 
-    __slots__ = ("algebra", "nrows", "ncols", "entries")
-
-    def __init__(self, algebra, entries, ncols=None):
-        rows = tuple(tuple(row) for row in entries)
-        width = len(rows[0]) if rows else ncols or 0
-        if ncols is not None and ncols != width:
-            raise ShapeError("ncols=%d disagrees with row width %d" % (ncols, width))
-        for row in rows:
-            if len(row) != width:
-                raise ShapeError("ragged rows")
-            for e in row:
-                if not isinstance(e, AlgebraElement) or e.algebra != algebra:
-                    raise ValueError("entry is not an element of the given algebra")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraMatrix is immutable")
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraMatrix)
-            and self.algebra == other.algebra
-            and self.entries == other.entries
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.nrows, self.ncols))
+    @staticmethod
+    def _admit(algebra, e):
+        if not isinstance(e, AlgebraElement) or e.algebra != algebra:
+            raise ValueError("entry is not an element of the given algebra")
+        return e
 
     def __matmul__(self, other):
         if self.algebra != other.algebra:
             raise ValueError("matrices over different algebras")
         rows = dense_product(self, other, self.algebra.zero())
-        return AlgebraMatrix(self.algebra, rows, other.ncols)
-
-    def __repr__(self):
-        return "AlgebraMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.algebra)
+        return AlgebraMatrix._raw(self.algebra, rows, other.ncols)
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
     """Entrywise polynomial substitution into the algebra."""
-    return AlgebraMatrix(
+    return AlgebraMatrix._raw(
         algebra,
         [[p.substitute(assignment, algebra) for p in row] for row in m.entries],
         m.ncols,
@@ -143,14 +116,11 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> ModuleMap:
     d = module.dim
     source = module.direct_sum_power(a.nrows)
     target = module.direct_sum_power(a.ncols)
+    empty = Matrix._raw(f, [()] * d, 0)
     rows = []
     for k in range(a.ncols):
-        blocks = [module.element_action(a.entries[i][k]) for i in range(a.nrows)]
-        for r in range(d):
-            row = []
-            for b in blocks:
-                row.extend(b.entries[r])
-            rows.append(row)
+        band = empty.hstack(*(module.element_action(a.entries[i][k]) for i in range(a.nrows)))
+        rows.extend(band.entries)
     return ModuleMap._raw(source, target, Matrix._raw(f, rows, d * a.nrows))
 
 

@@ -13,11 +13,17 @@ of values already in the field goes through its ``reduce`` (the identity over
 Q, ``% p`` over F_p) before it is stored, whether as a matrix entry, an
 algebra element coordinate or a polynomial coefficient.  A stored value is
 therefore false exactly when it is zero.
+
+Field, algebra and polynomial matrices share one core, :class:`DenseMatrix`.
+Its public constructor checks entries from outside; every matrix the library
+builds itself (products, substitutions, generic matrices, kernel and image
+bases, stacks) is made by the trusted ``_raw`` and not checked again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 
 class FieldMismatchError(ValueError):
@@ -155,18 +161,17 @@ def _check_same_field(a, b):
         raise FieldMismatchError("mixed coefficient fields: %r vs %r" % (a.field, b.field))
 
 
-class Matrix:
-    """Immutable dense matrix over a fixed coefficient field.
-
-    Entries are stored row-major as a tuple of row tuples, already normalized
-    into the field.  A matrix may have zero rows or zero columns; ``ncols``
-    must then be supplied explicitly where it cannot be inferred.
+class DenseMatrix:
+    """Immutable matrix over a ring (a field, an algebra or a variable table),
+    stored row-major as a tuple of row tuples.  The one shape rule: rows have
+    equal length, and ``ncols`` gives the width of a matrix with no rows.  A
+    subclass checks an entry from outside in its ``_admit`` and defines ``@``.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    __slots__ = ("ring", "nrows", "ncols", "entries")
 
-    def __init__(self, field, entries, ncols=None):
-        rows = tuple(tuple(field.normalize(x) for x in row) for row in entries)
+    def __init__(self, ring, entries, ncols=None):
+        rows = tuple(tuple(self._admit(ring, x) for x in row) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -176,25 +181,65 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "field", field)
+        self._set(ring, rows, ncols)
+
+    @classmethod
+    def _raw(cls, ring, rows, ncols):
+        """Internal constructor for rows of ``ncols`` entries already in the ring."""
+        m = cls.__new__(cls)
+        m._set(ring, tuple(tuple(r) for r in rows), ncols)
+        return m
+
+    def _set(self, ring, rows, ncols):
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def entry(self, i, j):
+        return self.entries[i][j]
+
+    def column(self, j):
+        if not 0 <= j < self.ncols:
+            raise ShapeError("column index %d out of range" % j)
+        return tuple(row[j] for row in self.entries)
+
+    def columns(self):
+        return [self.column(j) for j in range(self.ncols)]
+
+    def is_zero(self) -> bool:
+        return not any(any(row) for row in self.entries)
+
+    def _key(self):
+        return (self.nrows, self.ncols, self.ring, self.entries)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%dx%d)" % (type(self).__name__, self.nrows, self.ncols)
+
+
+class Matrix(DenseMatrix):
+    """Dense matrix over the coefficient field ``field``, its entries
+    normalized into the field."""
+
+    __slots__ = ()
+    field = DenseMatrix.ring
+    # in Matrix's own dict, where bench/spans.py wraps it
+    __init__ = DenseMatrix.__init__
+
+    @staticmethod
+    def _admit(field, x):
+        return field.normalize(x)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def _raw(cls, field, rows, ncols):
-        """Internal constructor for entries already normalized into the field."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", len(rows))
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "entries", tuple(tuple(r) for r in rows))
-        return m
 
     @classmethod
     def identity(cls, field, n):
@@ -212,44 +257,19 @@ class Matrix:
             raise ShapeError("ragged columns")
         return cls(field, list(zip(*cols)), ncols=len(cols))
 
-    # -- basics -------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.nrows, self.ncols, self.entries))
-
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format(x) for x in row) for row in self.entries)
         return "Matrix(%dx%d over %r: [%s])" % (self.nrows, self.ncols, self.field, body)
 
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
-
-    def column(self, j):
-        if not 0 <= j < self.ncols:
-            raise ShapeError("column index %d out of range" % j)
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if self.nrows != other.nrows:
-            raise ShapeError("hstack row counts differ: %d vs %d" % (self.nrows, other.nrows))
-        return Matrix._raw(
-            self.field,
-            [self.entries[i] + other.entries[i] for i in range(self.nrows)],
-            self.ncols + other.ncols,
-        )
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        """``self`` followed by the columns of each of ``others`` in turn."""
+        for other in others:
+            _check_same_field(self, other)
+            if self.nrows != other.nrows:
+                raise ShapeError("hstack row counts differ: %d vs %d" % (self.nrows, other.nrows))
+        parts = (self,) + others
+        rows = [tuple(chain.from_iterable(row)) for row in zip(*(m.entries for m in parts))]
+        return Matrix._raw(self.field, rows, sum(m.ncols for m in parts))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -293,24 +313,41 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Columns form a basis of the right null space (ncols - rank of them)."""
+        """Columns form a basis of the right null space, one per free column
+        ``j``: 1 at ``j`` and minus column ``j`` of the rref at the pivots."""
         red, pivots = self.rref()
+        f = self.field
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
-        f = self.field
-        cols = []
-        for j in free:
-            v = [f.zero()] * self.ncols
-            v[j] = f.one()
-            for i, pc in enumerate(pivots):
-                v[pc] = f.reduce(-red.entries[i][j])
-            cols.append(v)
-        return Matrix.from_cols(f, cols, nrows=self.ncols)
+        zero = f.zero()
+        rows = [[zero] * len(free) for _ in range(self.ncols)]
+        for k, j in enumerate(free):
+            rows[j][k] = f.one()
+        for row, pc in zip(red.entries, pivots):
+            rows[pc] = [f.reduce(-row[j]) for j in free]
+        return Matrix._raw(f, rows, len(free))
 
     def image_basis(self) -> "Matrix":
-        """Columns of ``self`` at the pivot positions; they span the column space."""
-        _, pivots = self.rref()
-        return Matrix.from_cols(self.field, [self.column(j) for j in pivots], nrows=self.nrows)
+        """Columns of ``self`` at the pivot positions of its rref, found one
+        column at a time against an echelon basis of those kept so far, so a
+        column that vanishes on its pivots costs one test per pivot."""
+        f = self.field
+        reduce = f.reduce
+        echelon = []  # (pivot row, kept column reduced, 1 at its pivot row)
+        kept = []
+        for j, v in enumerate(zip(*self.entries)):
+            if len(kept) == self.nrows:
+                break
+            for p, e in echelon:
+                c = v[p]
+                if c:
+                    v = [reduce(x - c * y) for x, y in zip(v, e)]
+            p = next((i for i, x in enumerate(v) if x), None)
+            if p is not None:
+                inv = f.inv(v[p])
+                echelon.append((p, [reduce(inv * x) for x in v]))
+                kept.append(j)
+        return Matrix._raw(f, [[row[j] for j in kept] for row in self.entries], len(kept))
 
 
 def dense_product(a, b, zero):

@@ -6,14 +6,17 @@ identify variables by table index internally, so the table may keep growing
 after a polynomial is created (generic matrices extend it); names matter only
 for input, output and substitution.
 
-Coefficients are exact field values from :mod:`torcheck.linalg`.
+Coefficients are exact field values from :mod:`torcheck.linalg`.  A
+:class:`PolyMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over a table:
+its public constructor checks that each entry from outside uses the table,
+and products and generic matrices are built by the trusted ``_raw``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import dense_product
+from .linalg import DenseMatrix, dense_product
 
 
 class VarTable:
@@ -227,27 +230,18 @@ class WeightedPoly:
         return " + ".join(parts)
 
 
-class PolyMatrix:
-    """Dense matrix of :class:`WeightedPoly` entries over one shared table."""
+class PolyMatrix(DenseMatrix):
+    """Dense matrix over a variable table; an entry from outside must be a
+    :class:`WeightedPoly` over that table."""
 
-    __slots__ = ("table", "nrows", "ncols", "entries")
+    __slots__ = ()
+    table = DenseMatrix.ring
 
-    def __init__(self, table, entries):
-        rows = tuple(tuple(entries[i]) for i in range(len(entries)))
-        width = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for p in row:
-                if p.table is not table:
-                    raise ValueError("entry uses a different variable table")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
+    @staticmethod
+    def _admit(table, p):
+        if p.table is not table:
+            raise ValueError("entry uses a different variable table")
+        return p
 
     @classmethod
     def generic(cls, table, prefix, nrows, ncols, weight):
@@ -261,26 +255,13 @@ class PolyMatrix:
                 idx = table.add_var("%s%d%d" % (prefix, i, j), weight)
                 row.append(WeightedPoly.variable(table, idx))
             rows.append(row)
-        return cls(table, rows)
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMatrix)
-            and self.table is other.table
-            and self.entries == other.entries
-            and self.ncols == other.ncols
-        )
-
-    def __hash__(self):
-        return hash((id(self.table), self.nrows, self.ncols))
+        return cls._raw(table, rows, ncols)
 
     def __matmul__(self, other):
         if self.table is not other.table:
             raise ValueError("matrices use different variable tables")
-        return PolyMatrix(self.table, dense_product(self, other, WeightedPoly.zero(self.table)))
+        rows = dense_product(self, other, WeightedPoly.zero(self.table))
+        return PolyMatrix._raw(self.table, rows, other.ncols)
 
     def minor(self, row_idx, col_idx):
         """Determinant of the selected square submatrix (plain sign convention,
@@ -306,9 +287,6 @@ class PolyMatrix:
             for cols in combinations(range(self.ncols), size):
                 out.append((rows, cols, self.minor(rows, cols)))
         return out
-
-    def __repr__(self):
-        return "PolyMatrix(%dx%d)" % (self.nrows, self.ncols)
 
 
 def _det(table, grid):

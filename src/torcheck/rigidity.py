@@ -199,13 +199,15 @@ def displayed_matrices(algebra):
     """The specialized images of X and Y: Xbar = [[s,0,t,0],[0,s,0,t]] and
     Ybar = the 4x8 block matrix [s.I | t.I]."""
     s, t, zero = algebra.generator("s"), algebra.generator("t"), algebra.zero()
-    xbar = AlgebraMatrix(
+    xbar = AlgebraMatrix._raw(
         algebra,
         [[s if j == i else (t if j == i + 2 else zero) for j in range(4)] for i in range(2)],
+        4,
     )
-    ybar = AlgebraMatrix(
+    ybar = AlgebraMatrix._raw(
         algebra,
         [[s if j == i else (t if j == i + 4 else zero) for j in range(8)] for i in range(4)],
+        8,
     )
     return xbar, ybar
 

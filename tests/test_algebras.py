@@ -352,3 +352,22 @@ def test_random_quotients_project_onto_the_quotient(field):
                 # operators of a quotient overlap, unlike the regular ones
                 e = dense_element(A, rng)
                 assert Q.element_action(e) @ proj == proj @ F.element_action(e)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
+def test_dependent_relations_give_the_quotient_of_their_independent_core(field):
+    rng = random.Random(37)
+    for A in (monomial_square_zero_algebra(field, ["s", "t"]), truncated_line(field)):
+        for rank in (1, 2, 3):
+            F = free_module(A, rank)
+            for _ in range(4):
+                gens = [
+                    tuple(rng.randrange(-2, 3) for _ in range(F.dim))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                core = Matrix.from_cols(field, gens).image_basis().columns()
+                sums = [tuple(x + y for x, y in zip(u, v)) for u, v in zip(core, core[1:])]
+                dependent = core + [(0,) * F.dim] + core[::-1] + sums + [(0,) * F.dim]
+                Q, proj = F.quotient_module(core)
+                Q_dep, proj_dep = F.quotient_module(dependent)
+                assert (Q_dep.actions, proj_dep) == (Q.actions, proj)

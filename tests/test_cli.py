@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from torcheck.cli import main
+from torcheck.cli import main, parse_poly
+from torcheck.linalg import GF, QQ
+from torcheck.poly import VarTable, WeightedPoly
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = files("torcheck").joinpath("data")
@@ -449,3 +451,52 @@ def test_tor_rejects_a_resolution_too_wide_for_the_module(tmp_path, capsys):
     rc, _, err = run(capsys, "tor", str(path), data_path("module.json"))
     assert rc == 2
     assert 'matrices[0]: "cols" times the module dimension is 1026; at most 1024' in err
+
+
+# -- polynomial parsing ------------------------------------------------------
+
+
+def _table(field):
+    table = VarTable(field)
+    table.add_var("a", 1)
+    table.add_var("b", 2)
+    return table
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
+def test_parsed_polynomial_is_the_sum_of_its_terms(field):
+    table = _table(field)
+    terms = [
+        ["3", {"a": 1}],
+        ["5", {}],
+        ["2", {"b": 1, "a": 2}],
+        ["-3", {"a": 1}],  # cancels the first term
+        ["4", {"a": 2, "b": 1}],  # the third monomial again
+        ["1", {"b": 3}],
+        ["-5", {}],  # cancels the constant
+        ["7", {"b": 3}],
+        ["0", {"a": 4}],
+    ]
+    expected = WeightedPoly.zero(table)
+    for coeff, monomial in terms:
+        expected = expected + WeightedPoly.monomial(table, monomial, field.parse(coeff))
+    got = parse_poly(table, terms, "p")
+    assert got == expected
+    assert set(got.terms) == {((0, 2), (1, 1)), ((1, 3),)}
+
+
+def test_parsing_many_terms_adds_no_polynomials(monkeypatch):
+    calls = []
+    add = WeightedPoly.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(WeightedPoly, "__add__", counted)
+    table = _table(GF(101))
+    terms = [["1", {"a": 1 + k % 100}] for k in range(20000)]
+    got = parse_poly(table, terms, "p")
+    assert calls == []
+    # each of the 100 monomials occurs 200 times: 200 = 99 mod 101
+    assert got.terms == {((0, e),): 99 for e in range(1, 101)}

@@ -18,6 +18,7 @@ from torcheck.linalg import (
     same_span,
     subspace_leq,
 )
+from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
 
 def M(field, rows):
@@ -141,6 +142,18 @@ def test_image_basis_examples():
     assert im.column(0) == (1, 2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp7"])
+def test_image_basis_keeps_the_rref_pivot_columns(field):
+    rng = random.Random(13)
+    for _ in range(30):
+        nrows, ncols = rng.randrange(0, 5), rng.randrange(0, 8)
+        entries = [rng.choice((0, 0, rng.randrange(-3, 4))) for _ in range(nrows * ncols)]
+        m = Matrix(field, [entries[i * ncols : (i + 1) * ncols] for i in range(nrows)], ncols)
+        _, pivots = m.rref()
+        expected = Matrix.from_cols(field, [m.column(j) for j in pivots], nrows=nrows)
+        assert m.image_basis() == expected
+
+
 def test_image_columns_do_not_raise_rank():
     rng = random.Random(11)
     for _ in range(20):
@@ -216,6 +229,10 @@ def test_mixed_fields_rejected():
 def test_shape_errors():
     with pytest.raises(ShapeError):
         M(QQ, [[1, 2], [3]])
+    table = VarTable(QQ)
+    one = WeightedPoly.constant(table, 1)
+    with pytest.raises(ShapeError, match="ragged rows"):
+        PolyMatrix(table, [[one, one], [one]])
     with pytest.raises(ShapeError):
         M(QQ, [[1, 2]]) @ M(QQ, [[1, 2]])
     with pytest.raises(ShapeError):
@@ -239,6 +256,12 @@ def test_zero_dimension_matrices():
     no_rows = Matrix(QQ, [], ncols=3)
     assert no_rows.rank() == 0
     assert no_rows.kernel_basis().ncols == 3
+    table = VarTable(QQ)
+    poly_no_rows = PolyMatrix(table, [], ncols=3)
+    assert (poly_no_rows.nrows, poly_no_rows.ncols) == (0, 3)
+    one = WeightedPoly.constant(table, 1)
+    product = PolyMatrix(table, [], ncols=1) @ PolyMatrix(table, [[one] * 3])
+    assert product == poly_no_rows
 
 
 # -- the product kernel -------------------------------------------------------

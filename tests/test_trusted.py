@@ -7,7 +7,9 @@ Subspaces are basis matrices, closed under the action by construction because
 they are generated (submodules and radical powers), and nothing checks them at
 run time.  Sums and products of field values are reduced where they are
 stored, in matrices built by ``Matrix._raw``, algebra elements and
-polynomials, and nowhere checked.  Here every such object built while the
+polynomials, and nowhere checked.  Every matrix the library builds, over a
+field, an algebra or a variable table, is made by ``_raw`` without the public
+constructor's entry and shape checks.  Here every such object built while the
 battery and the bundled commands run is recorded and checked, so the
 invariants are still tested.
 """
@@ -27,9 +29,9 @@ from torcheck.algebras import (
     monomial_square_zero_algebra,
 )
 from torcheck.cli import main
-from torcheck.complexes import ModuleMap, check_module_map
+from torcheck.complexes import AlgebraMatrix, ModuleMap, check_module_map
 from torcheck.linalg import GF, QQ, Matrix, subspace_leq
-from torcheck.poly import VarTable, WeightedPoly
+from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import full_report
 
 DATA = files("torcheck").joinpath("data")
@@ -74,6 +76,36 @@ def stored(monkeypatch):
 
     monkeypatch.setattr(Matrix, "_raw", staticmethod(recording_raw))
     return record
+
+
+def record_results(monkeypatch, cls, name, made, wrap=lambda f: f):
+    """Append every result of ``cls.<name>`` to ``made``."""
+    build = getattr(cls, name)
+
+    def recording(*args):
+        result = build(*args)
+        made.append(result)
+        return result
+
+    monkeypatch.setattr(cls, name, wrap(recording))
+
+
+@pytest.fixture
+def ring_matrices(monkeypatch):
+    """Lists of every ``AlgebraMatrix._raw`` and ``PolyMatrix._raw`` matrix."""
+    record = {AlgebraMatrix: [], PolyMatrix: []}
+    for cls, made in record.items():
+        record_results(monkeypatch, cls, "_raw", made, staticmethod)
+    return record
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """List of every kernel basis, image basis and stack built."""
+    made = []
+    for name in ("kernel_basis", "image_basis", "hstack"):
+        record_results(monkeypatch, Matrix, name, made)
+    return made
 
 
 def is_reduced(field, x):
@@ -199,3 +231,37 @@ def test_subspaces_are_independent_and_closed(subspaces, capsys):
         assert basis.rank() == basis.ncols
         for a in module.actions:
             assert subspace_leq(a @ basis, basis)
+
+
+def test_ring_matrices_pass_their_public_constructors(ring_matrices, capsys):
+    run_battery_and_commands(capsys)
+    algebra_matrices, poly_matrices = ring_matrices[AlgebraMatrix], ring_matrices[PolyMatrix]
+    assert {m.algebra.field for m in algebra_matrices} == {GF(101), QQ}
+    assert len(poly_matrices) >= 4
+    for m in algebra_matrices:
+        assert AlgebraMatrix(m.algebra, m.entries, m.ncols) == m
+    for m in poly_matrices:
+        assert PolyMatrix(m.table, m.entries, m.ncols) == m
+    # and those constructors do check: entries from another ring are rejected
+    a = next(m for m in algebra_matrices if m.algebra.field == QQ and not m.is_zero())
+    p = next(m for m in poly_matrices if m.nrows)
+    with pytest.raises(ValueError, match="not an element of the given algebra"):
+        AlgebraMatrix(monomial_square_zero_algebra(GF(101), ["s", "t"]), a.entries, a.ncols)
+    with pytest.raises(ValueError, match="different variable table"):
+        PolyMatrix(VarTable(p.table.field), p.entries, p.ncols)
+
+
+def test_bases_and_stacks_hold_reduced_entries(bases, capsys):
+    run_battery_and_commands(capsys)
+    # kernels of projections have entries that a missing reduction would change
+    S = monomial_square_zero_algebra(GF(101), ["s", "t"])
+    rng = random.Random(6)
+    for _ in range(10):
+        M = free_module(S, rng.randrange(1, 4))
+        _, proj = M.quotient_module([[rng.randrange(101) for _ in range(M.dim)] for _ in range(2)])
+        proj.kernel_basis()
+    assert len(bases) > 50
+    assert {m.field for m in bases} == {GF(101), QQ}
+    for m in bases:
+        assert Matrix(m.field, m.entries, m.ncols) == m
+        assert all(is_reduced(m.field, x) for row in m.entries for x in row), m
