@@ -16,6 +16,9 @@ satisfy them by construction and skip the check.  Subspaces are basis
 matrices.  The library builds them only by generation (submodules, radical
 powers), so their columns are independent and closed under the action by
 construction and are not checked either; quotients are taken by generators.
+:func:`block_operator` is the one owner of the row-vector block convention:
+element actions, the axiom check, direct sum powers, free modules and the
+induced maps of :mod:`torcheck.complexes` are all grids that it writes.
 The length of a module over such an algebra equals its K-dimension, because
 the only simple module is the 1-dimensional residue field.
 """
@@ -105,12 +108,6 @@ class ArtinAlgebra:
 
     def generator(self, name) -> "AlgebraElement":
         return self.basis_element(self.basis_names.index(name))
-
-    def left_mult_matrix(self, i) -> Matrix:
-        """Matrix of multiplication by basis element i on the algebra itself."""
-        n = self.dim
-        rows = [[self.mult[i][j][k] for j in range(n)] for k in range(n)]
-        return Matrix._raw(self.field, rows, n)
 
     def __eq__(self, other):
         return (
@@ -234,32 +231,33 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
     return ArtinAlgebra._raw(field, names, mult)
 
 
-def _block_diag(field, blocks):
-    rows = []
-    r_off = 0
-    total_cols = sum(b.ncols for b in blocks)
-    for b in blocks:
-        for i in range(b.nrows):
-            row = [field.zero()] * total_cols
-            row[r_off : r_off + b.ncols] = b.entries[i]
-            rows.append(row)
-        r_off += b.ncols
-    return Matrix._raw(field, rows, total_cols)
-
-
-def _combination(field, actions, coords, dim):
-    """The ``dim x dim`` operator sum of ``coords[k] * actions[k]``, built in
-    one pass over the entries that skips zero coefficients and zero entries."""
+def block_operator(field, actions, grid, ncols, dim) -> Matrix:
+    """The K-matrix of a ``p x ncols`` grid of algebra coordinate vectors
+    acting through ``actions``, one ``dim x dim`` operator per basis element.
+    Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is the sum of
+    ``c * actions[l]`` over the coordinates ``c`` of ``grid[i][k]``; an empty
+    vector is zero.  One pass skips zero coordinates and zero operator
+    entries and reduces each block where it is stored."""
     reduce = field.reduce
-    rows = [[field.zero()] * dim for _ in range(dim)]
-    for a, c in zip(actions, coords):
-        if not c:
-            continue
-        for out, row in zip(rows, a.entries):
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += c * x
-    return Matrix._raw(field, [[reduce(x) for x in row] for row in rows], dim)
+    terms = {}  # basis index -> non-zero (column, entry) pairs of each operator row
+    rows = [[field.zero()] * (len(grid) * dim) for _ in range(ncols * dim)]
+    for i, grid_row in enumerate(grid):
+        left = i * dim
+        for k, coords in enumerate(grid_row):
+            if not any(coords):
+                continue
+            band = rows[k * dim : (k + 1) * dim]
+            for l, c in enumerate(coords):
+                if not c:
+                    continue
+                if l not in terms:
+                    terms[l] = [[(j, x) for j, x in enumerate(r) if x] for r in actions[l].entries]
+                for out, row_terms in zip(band, terms[l]):
+                    for j, x in row_terms:
+                        out[left + j] += c * x
+            for out in band:
+                out[left : left + dim] = map(reduce, out[left : left + dim])
+    return Matrix._raw(field, rows, len(grid) * dim)
 
 
 def check_module_axioms(algebra, actions):
@@ -275,12 +273,10 @@ def check_module_axioms(algebra, actions):
             raise ValueError("action operators must be square over the algebra field")
     if actions[0] != Matrix.identity(f, dim):
         raise ValueError("unit must act as the identity")
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            if actions[i] @ actions[j] != _combination(f, actions, algebra.mult[i][j], dim):
-                raise ValueError(
-                    "actions violate the structure constants at (%d, %d)" % (i, j)
-                )
+    for i, products in enumerate(algebra.mult):
+        for j, coords in enumerate(products):
+            if actions[i] @ actions[j] != block_operator(f, actions, [[coords]], 1, dim):
+                raise ValueError("actions violate the structure constants at (%d, %d)" % (i, j))
 
 
 class FDModule:
@@ -330,7 +326,7 @@ class FDModule:
         """Operator by which an algebra element acts on the module."""
         if elem.algebra != self.algebra:
             raise ValueError("element of a different algebra")
-        return _combination(self.algebra.field, self.actions, elem.coords, self.dim)
+        return block_operator(self.algebra.field, self.actions, [[elem.coords]], 1, self.dim)
 
     def length(self) -> int:
         """Composition length; equals dim_K because the algebra is local with
@@ -402,7 +398,11 @@ class FDModule:
             raise ValueError("power must be non-negative")
         if k not in self._power_cache:
             f = self.algebra.field
-            actions = [_block_diag(f, [a] * k) for a in self.actions]
+            diagonals = (
+                [[unit if i == j else () for j in range(k)] for i in range(k)]
+                for unit in Matrix.identity(f, self.algebra.dim).entries
+            )
+            actions = [block_operator(f, self.actions, g, k, self.dim) for g in diagonals]
             self._power_cache[k] = FDModule._raw(self.algebra, actions)
         return self._power_cache[k]
 
@@ -428,10 +428,9 @@ class Subspace:
 
 
 def free_module(algebra: ArtinAlgebra, rank: int) -> FDModule:
-    """Free module of the given rank; actions are block-diagonal copies of the
-    regular representation."""
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    f = algebra.field
-    actions = [_block_diag(f, [algebra.left_mult_matrix(i)] * rank) for i in range(algebra.dim)]
-    return FDModule._raw(algebra, actions)
+    """Free module of the given rank: the direct sum power of the regular
+    module, where basis element i acts by the matrix whose column j holds the
+    coordinates of e_i e_j.  ``direct_sum_power`` rejects a negative rank."""
+    f, n = algebra.field, algebra.dim
+    regular = [Matrix._raw(f, zip(*products), n) for products in algebra.mult]
+    return FDModule._raw(algebra, regular).direct_sum_power(rank)

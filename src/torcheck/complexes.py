@@ -9,7 +9,8 @@ in N^q.  This matches resolutions written left to right as
     0 -> R^2 --X--> R^4 --Y--> R^8
 
 with X of shape 2 x 4.  The mirror-image column convention is isomorphic but
-must not be mixed with this one.
+must not be mixed with this one.  Its one owner is
+:func:`torcheck.algebras.block_operator`, which writes every induced K-matrix.
 
 An :class:`AlgebraMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over an
 algebra.  Its public constructor checks that each entry from outside belongs
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import AlgebraElement, FDModule
+from .algebras import AlgebraElement, FDModule, block_operator
 from .linalg import DenseMatrix, Matrix, ShapeError, dense_product, same_span
 
 
@@ -108,20 +109,14 @@ class ModuleMap:
 
 def induced_map(a: AlgebraMatrix, module: FDModule) -> ModuleMap:
     """Map N^p -> N^q induced by a p x q algebra matrix under the row-vector
-    convention; the underlying K-matrix is the q x p grid of action operators
-    with block (k, i) the action of a[i][k]."""
+    convention; :func:`block_operator` writes its K-matrix, the q x p grid of
+    action operators with block (k, i) the action of a[i][k]."""
     if a.algebra != module.algebra:
         raise ValueError("matrix and module over different algebras")
-    f = module.algebra.field
-    d = module.dim
-    source = module.direct_sum_power(a.nrows)
-    target = module.direct_sum_power(a.ncols)
-    empty = Matrix._raw(f, [()] * d, 0)
-    rows = []
-    for k in range(a.ncols):
-        band = empty.hstack(*(module.element_action(a.entries[i][k]) for i in range(a.nrows)))
-        rows.extend(band.entries)
-    return ModuleMap._raw(source, target, Matrix._raw(f, rows, d * a.nrows))
+    grid = [[e.coords for e in row] for row in a.entries]
+    matrix = block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
+    source, target = module.direct_sum_power(a.nrows), module.direct_sum_power(a.ncols)
+    return ModuleMap._raw(source, target, matrix)
 
 
 @dataclass(frozen=True)

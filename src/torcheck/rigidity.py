@@ -296,6 +296,10 @@ def check_specialization_matrices(spec: SpecializationData) -> CheckResult:
     details = {"xbar_matches": x_ok, "ybar_matches": y_ok}
     if not x_ok or not y_ok:
         for label, got, want in (("xbar", spec.xbar, xbar), ("ybar", spec.ybar, ybar)):
+            shape, expected = (got.nrows, got.ncols), (want.nrows, want.ncols)
+            if shape != expected:
+                details["offender"] = "%s shape %dx%d, expected %dx%d" % (label, *shape, *expected)
+                return CheckResult("specialization_matrices", False, details)
             for i in range(want.nrows):
                 for j in range(want.ncols):
                     if got.entry(i, j) != want.entry(i, j):

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from torcheck.algebras import free_module, monomial_square_zero_algebra
+from torcheck.algebras import (
+    ArtinAlgebra,
+    block_operator,
+    free_module,
+    monomial_square_zero_algebra,
+)
 from torcheck.complexes import (
     AlgebraMatrix,
     ChainComplex,
@@ -16,6 +21,9 @@ from torcheck.complexes import (
 )
 from torcheck.linalg import GF, QQ, Matrix, ShapeError
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
 
 
 def build_scene(field):
@@ -74,19 +82,101 @@ def _ref_rank(rows):
     return rank
 
 
+def _ref_blocks(actions, grid, ncols, dim):
+    """Rows of the expected block operator, written with plain loops and no
+    library arithmetic: block (k, i), at rows k*dim and columns i*dim, is
+    sum_c coords[c] * actions[c] for the coordinates of grid[i][k]."""
+    rows = [[0] * (len(grid) * dim) for _ in range(ncols * dim)]
+    for i, grid_row in enumerate(grid):
+        for k, coords in enumerate(grid_row):
+            for c, action in zip(coords, actions):
+                for r in range(dim):
+                    for s in range(dim):
+                        rows[k * dim + r][i * dim + s] += c * action.entry(r, s)
+    return rows
+
+
 def _block_grid(module, alg_matrix):
-    """Assemble the expected induced K-matrix by hand: block (k, i) is the
-    action of entry (i, k)."""
-    d = module.dim
-    grid = []
-    for k in range(alg_matrix.ncols):
-        for r in range(d):
-            row = []
-            for i in range(alg_matrix.nrows):
-                act = module.element_action(alg_matrix.entry(i, k))
-                row.extend(act.entries[r])
-            grid.append(row)
-    return grid
+    """The expected induced K-matrix: block (k, i) is the action of entry (i, k)."""
+    grid = [[e.coords for e in row] for row in alg_matrix.entries]
+    return _ref_blocks(module.actions, grid, alg_matrix.ncols, module.dim)
+
+
+def _truncated_line(field):
+    """K[u]/(u^3) on the basis (1, u, u^2), whose radical does not square to zero."""
+    mult = [[tuple(int(i + j == k) for k in range(3)) for j in range(3)] for i in range(3)]
+    return ArtinAlgebra(field, ["1", "u", "u2"], mult)
+
+
+def _test_modules(field):
+    """Regular, free, quotient and zero modules over two algebras."""
+    S, N = build_scene(field)[:2]
+    U = _truncated_line(field)
+    return [(S, N)] + [(A, free_module(A, r)) for A in (S, U) for r in (0, 1, 2)]
+
+
+# -- block placement ----------------------------------------------------------
+
+
+@FIELDS
+def test_block_operator_places_block_k_i_from_grid_entry_i_k(field):
+    rng = random.Random(41)
+    for A, M in _test_modules(field):
+        d = M.dim
+
+        def coords():
+            return A.element([rng.choice((0, 0, 1, -1, 2, 50)) for _ in range(A.dim)]).coords
+
+        for p, q in ((2, 2), (3, 3), (2, 3), (3, 1), (0, 3), (2, 0), (0, 0)):
+            grid = [[coords() for _ in range(q)] for _ in range(p)]
+            got = block_operator(field, M.actions, grid, q, d)
+            assert (got.nrows, got.ncols) == (q * d, p * d)
+            assert got == Matrix(field, _ref_blocks(M.actions, grid, q, d), ncols=p * d)
+
+
+@FIELDS
+def test_induced_map_writes_the_coordinate_grid(field):
+    rng = random.Random(43)
+    for A, M in _test_modules(field):
+        elems = [A.zero(), A.one()] + [A.basis_element(i) * 3 for i in range(1, A.dim)]
+        for p, q in ((2, 3), (3, 2), (0, 2), (2, 0)):
+            rows = [[rng.choice(elems) + rng.choice(elems) for _ in range(q)] for _ in range(p)]
+            a = AlgebraMatrix(A, rows, q)
+            f = induced_map(a, M)
+            assert (f.source.dim, f.target.dim) == (p * M.dim, q * M.dim)
+            assert f.matrix == Matrix(field, _block_grid(M, a), p * M.dim)
+
+
+@FIELDS
+def test_direct_sum_power_is_block_diagonal_copies_of_each_action(field):
+    for _, M in _test_modules(field):
+        d = M.dim
+        for k in (0, 1, 3):
+            P = M.direct_sum_power(k)
+            assert P.dim == k * d
+            for a, big in zip(M.actions, P.actions):
+                for r in range(k * d):
+                    for c in range(k * d):
+                        want = a.entry(r % d, c % d) if r // d == c // d else 0
+                        assert big.entry(r, c) == want
+
+
+@FIELDS
+def test_free_module_acts_by_products_of_basis_elements(field):
+    for A in (monomial_square_zero_algebra(field, ["s", "t"]), _truncated_line(field)):
+        n = A.dim
+        for rank in (0, 1, 3):
+            F = free_module(A, rank)
+            assert F.dim == rank * n
+            for i, act in enumerate(F.actions):
+                for b in range(rank):
+                    for j in range(n):
+                        product = A.basis_element(i) * A.basis_element(j)
+                        want = [0] * (rank * n)
+                        want[b * n : (b + 1) * n] = product.coords
+                        assert list(act.column(b * n + j)) == want
+        with pytest.raises(ValueError, match="non-negative"):
+            free_module(A, -1)
 
 
 # -- induced maps -----------------------------------------------------------

@@ -258,6 +258,18 @@ def test_full_report_names_first_failure(data, spec):
     assert failing[0].details["offender"] == "ybar[1,1]"
 
 
+def test_narrower_stored_matrix_is_reported_as_a_shape_mismatch(data, spec):
+    # the stored matrix agrees with the displayed one on every shared entry
+    S = spec.algebra
+    s, t, zero = S.generator("s"), S.generator("t"), S.zero()
+    narrow = replace(spec, xbar=AlgebraMatrix(S, [[s, zero, t], [zero, s, zero]]))
+    report = full_report(FIELD, generic=data, specialization=narrow)
+    assert not report.overall_pass
+    assert report.first_failure == "specialization_matrices"
+    failing = [c for c in report.checks if not c.passed]
+    assert failing[0].details["offender"] == "xbar shape 2x3, expected 2x4"
+
+
 def test_full_report_rejects_mixed_fields(data):
     with pytest.raises(ValueError, match="different fields"):
         full_report(FIELD, generic=data, specialization=build_specialization(QQ))

@@ -1,8 +1,7 @@
 """Algebras, modules and maps that the library builds itself (square-zero
-algebras, free modules, direct sum powers, quotients, zero and identity maps,
-induced maps and composites) skip the public constructors' checks, being
-valid by construction, and algebra elements are normalized only where their
-coordinates come from outside.
+algebras, free modules, direct sum powers, quotients and induced maps) skip
+the public constructors' checks, being valid by construction, and algebra
+elements are normalized only where their coordinates come from outside.
 Subspaces are basis matrices, closed under the action by construction because
 they are generated (submodules and radical powers), and nothing checks them at
 run time.  Sums and products of field values are reduced where they are
