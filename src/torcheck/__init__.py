@@ -23,7 +23,6 @@ from .complexes import (
     NotAComplexError,
     TorReport,
     check_module_map,
-    image_equals_radical_power,
     induced_map,
     substitute_matrix,
     tor_from_resolution,

@@ -304,18 +304,6 @@ class FDModule:
         self.algebra = algebra
         self.dim = actions[0].nrows
         self.actions = actions
-        self._power_cache = {}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FDModule)
-            and self.algebra == other.algebra
-            and self.dim == other.dim
-            and self.actions == other.actions
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.dim))
 
     def __repr__(self):
         return "FDModule(dim %d over %r)" % (self.dim, self.algebra)
@@ -396,15 +384,13 @@ class FDModule:
     def direct_sum_power(self, k: int) -> "FDModule":
         if k < 0:
             raise ValueError("power must be non-negative")
-        if k not in self._power_cache:
-            f = self.algebra.field
-            diagonals = (
-                [[unit if i == j else () for j in range(k)] for i in range(k)]
-                for unit in Matrix.identity(f, self.algebra.dim).entries
-            )
-            actions = [block_operator(f, self.actions, g, k, self.dim) for g in diagonals]
-            self._power_cache[k] = FDModule._raw(self.algebra, actions)
-        return self._power_cache[k]
+        f = self.algebra.field
+        diagonals = (
+            [[unit if i == j else () for j in range(k)] for i in range(k)]
+            for unit in Matrix.identity(f, self.algebra.dim).entries
+        )
+        actions = [block_operator(f, self.actions, g, k, self.dim) for g in diagonals]
+        return FDModule._raw(self.algebra, actions)
 
 
 class Subspace:

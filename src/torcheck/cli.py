@@ -160,24 +160,26 @@ def parse_rank(algebra, obj, key):
 def parse_module(algebra, obj):
     if not isinstance(obj, dict):
         raise InputError('"module" must be an object')
+    if ("free_rank" in obj) == ("quotient_of_free" in obj):
+        raise InputError('"module" needs exactly one of "free_rank" or "quotient_of_free"')
     if "free_rank" in obj:
+        if "relations" in obj:
+            raise InputError('"module.relations" needs "quotient_of_free", not "free_rank"')
         return free_module(algebra, parse_rank(algebra, obj, "free_rank"))
-    if "quotient_of_free" in obj:
-        rank = parse_rank(algebra, obj, "quotient_of_free")
-        relations = obj.get("relations", [])
-        if not isinstance(relations, list):
-            raise InputError('"module.relations" must be a list')
-        gens = []
-        for k, rel in enumerate(relations):
-            where = "relations[%d]" % k
-            if not isinstance(rel, list) or len(rel) != rank:
-                raise InputError("%s: a relation needs %d algebra elements" % (where, rank))
-            coords = []
-            for component in rel:
-                coords.extend(parse_element(algebra, component, where).coords)
-            gens.append(coords)
-        return free_module(algebra, rank).quotient_module(gens)[0]
-    raise InputError('"module" needs "free_rank" or "quotient_of_free"')
+    rank = parse_rank(algebra, obj, "quotient_of_free")
+    relations = obj.get("relations", [])
+    if not isinstance(relations, list):
+        raise InputError('"module.relations" must be a list')
+    gens = []
+    for k, rel in enumerate(relations):
+        where = "relations[%d]" % k
+        if not isinstance(rel, list) or len(rel) != rank:
+            raise InputError("%s: a relation needs %d algebra elements" % (where, rank))
+        coords = []
+        for component in rel:
+            coords.extend(parse_element(algebra, component, where).coords)
+        gens.append(coords)
+    return free_module(algebra, rank).quotient_module(gens)[0]
 
 
 def parse_grid(obj, where, minimum, parse_entry):

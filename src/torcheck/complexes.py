@@ -1,6 +1,6 @@
-"""Matrices over an Artinian algebra, the module maps they induce, chain
-complexes and their homology, and Tor computed from a specialized free
-resolution.
+"""Matrices over an Artinian algebra, the K-matrices of the module maps they
+induce, chain complexes of K-matrices and their homology, and Tor computed
+from a specialized free resolution.
 
 Row-vector convention throughout: a p x q algebra matrix ``a`` sends an
 element (n_1, ..., n_p) of N^p to (sum_i a_i1 . n_i, ..., sum_i a_iq . n_i)
@@ -11,6 +11,11 @@ in N^q.  This matches resolutions written left to right as
 with X of shape 2 x 4.  The mirror-image column convention is isomorphic but
 must not be mixed with this one.  Its one owner is
 :func:`torcheck.algebras.block_operator`, which writes every induced K-matrix.
+
+A length over a local algebra with residue field K is a K-dimension, so a
+complex of induced maps is its list of K-matrices and its homology is read
+from their ranks.  The powers N^k are built as modules only where their
+module structure is asked about (radicals, in :mod:`torcheck.rigidity`).
 
 An :class:`AlgebraMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over an
 algebra.  Its public constructor checks that each entry from outside belongs
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import DenseMatrix, Matrix, ShapeError, dense_product, same_span
+from .linalg import DenseMatrix, Matrix, ShapeError, dense_product
 
 
 class NotAComplexError(ValueError):
@@ -83,9 +88,9 @@ class ModuleMap:
     """K-linear map between modules over one algebra, commuting with the action.
 
     ``matrix`` has shape ``target.dim x source.dim`` and acts on coordinate
-    column vectors.  The public constructor checks commutation with every
-    action operator (:func:`check_module_map`); the induced maps the
-    library builds commute by construction and skip the check.
+    column vectors.  The constructor checks commutation with every action
+    operator (:func:`check_module_map`).  The library builds none: its
+    induced maps are bare K-matrices, which commute by construction.
     """
 
     def __init__(self, source: FDModule, target: FDModule, matrix: Matrix):
@@ -94,29 +99,19 @@ class ModuleMap:
         self.target = target
         self.matrix = matrix
 
-    @classmethod
-    def _raw(cls, source, target, matrix):
-        """Internal constructor for a map that commutes by construction."""
-        m = cls.__new__(cls)
-        m.source = source
-        m.target = target
-        m.matrix = matrix
-        return m
-
     def __repr__(self):
         return "ModuleMap(%d -> %d)" % (self.source.dim, self.target.dim)
 
 
-def induced_map(a: AlgebraMatrix, module: FDModule) -> ModuleMap:
-    """Map N^p -> N^q induced by a p x q algebra matrix under the row-vector
-    convention; :func:`block_operator` writes its K-matrix, the q x p grid of
-    action operators with block (k, i) the action of a[i][k]."""
+def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
+    """K-matrix of the map N^p -> N^q induced by a p x q algebra matrix under
+    the row-vector convention, of shape ``q*dim x p*dim``.  It is the q x p
+    grid of action operators that :func:`block_operator` writes, with block
+    (k, i) the action of a[i][k]; no module N^p or N^q is built."""
     if a.algebra != module.algebra:
         raise ValueError("matrix and module over different algebras")
     grid = [[e.coords for e in row] for row in a.entries]
-    matrix = block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
-    source, target = module.direct_sum_power(a.nrows), module.direct_sum_power(a.ncols)
-    return ModuleMap._raw(source, target, matrix)
+    return block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
 
 
 @dataclass(frozen=True)
@@ -129,25 +124,41 @@ class HomologySummary:
 
 
 class ChainComplex:
-    """Bounded complex M_k -> ... -> M_0 built from its maps: ``maps[j]``
-    sends ``modules[j]`` to ``modules[j+1]`` (modules are listed from
-    homological degree k down to 0).  The maps must chain and consecutive
-    composites must vanish; this is the one place where a composite of
-    K-matrices is checked."""
+    """Bounded complex of K-spaces V_k -> ... -> V_0 given by its K-matrices:
+    ``maps[j]`` sends a vector of dimension ``dims[j]`` to one of dimension
+    ``dims[j+1]`` (listed from homological degree k down to 0), so it has
+    shape ``dims[j+1] x dims[j]``.  The public constructor checks that the
+    maps chain and that consecutive composites vanish, naming the first
+    non-zero entry of a composite that does not."""
 
     def __init__(self, maps):
         maps = list(maps)
         if not maps:
             raise ValueError("a complex needs at least one map")
         for j in range(len(maps) - 1):
-            if maps[j].target != maps[j + 1].source:
+            if maps[j].nrows != maps[j + 1].ncols:
                 raise ShapeError("maps %d and %d do not chain" % (j, j + 1))
-            if not (maps[j + 1].matrix @ maps[j].matrix).is_zero():
+            entry = (maps[j + 1] @ maps[j]).first_nonzero()
+            if entry is not None:
                 raise NotAComplexError(
-                    "composite of maps %d and %d is nonzero" % (j, j + 1), position=j
+                    "composite of maps %d and %d is nonzero at entry (%d, %d)"
+                    % (j, j + 1, *entry),
+                    position=j,
+                    entry=entry,
                 )
-        self.modules = [maps[0].source] + [f.target for f in maps]
+        self._set(maps)
+
+    @classmethod
+    def _raw(cls, maps):
+        """Internal constructor for maps that chain and compose to zero by
+        construction."""
+        cx = cls.__new__(cls)
+        cx._set(list(maps))
+        return cx
+
+    def _set(self, maps):
         self.maps = maps
+        self.dims = [maps[0].ncols] + [f.nrows for f in maps]
 
     @property
     def top_degree(self) -> int:
@@ -155,10 +166,10 @@ class ChainComplex:
 
     def homology(self):
         """Summaries listed from the left end (degree k) to degree 0."""
-        ranks = [f.matrix.rank() for f in self.maps] + [0]
+        ranks = [f.rank() for f in self.maps] + [0]
         out = []
-        for pos, m in enumerate(self.modules):
-            ker = m.dim - ranks[pos]
+        for pos, dim in enumerate(self.dims):
+            ker = dim - ranks[pos]
             im = ranks[pos - 1] if pos > 0 else 0
             out.append(HomologySummary(ker - im, ker, im))
         return out
@@ -169,8 +180,8 @@ class TorReport:
     """Homology of a specialized resolution tensored with a module.
 
     ``degrees[i]`` is the summary in homological degree i (degree 0 is the
-    cokernel end); ``complex`` is the complex of induced maps it was taken
-    from, with ``complex.maps`` in resolution order.
+    cokernel end); ``complex`` is the complex it was taken from, whose
+    ``maps`` are the induced K-matrices in resolution order.
     """
 
     degrees: tuple
@@ -215,23 +226,15 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
             )
     specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
     for i in range(len(specialized) - 1):
-        product = specialized[i] @ specialized[i + 1]
-        for r, row in enumerate(product.entries):
-            for c, value in enumerate(row):
-                if value:
-                    raise NotAComplexError(
-                        "composite of resolution matrices %d and %d substitutes to a "
-                        "nonzero element at entry (%d, %d)" % (i, i + 1, r, c),
-                        position=i,
-                        entry=(r, c),
-                    )
-    cx = ChainComplex(induced_map(a, module) for a in specialized)
+        entry = (specialized[i] @ specialized[i + 1]).first_nonzero()
+        if entry is not None:
+            raise NotAComplexError(
+                "composite of resolution matrices %d and %d substitutes to a "
+                "nonzero element at entry (%d, %d)" % (i, i + 1, *entry),
+                position=i,
+                entry=entry,
+            )
+    # induced_map(a @ b) == induced_map(b) @ induced_map(a), so the induced
+    # composites vanish too and are not multiplied out again
+    cx = ChainComplex._raw(induced_map(a, module) for a in specialized)
     return TorReport(tuple(reversed(cx.homology())), cx)
-
-
-def image_equals_radical_power(f: ModuleMap, k: int = 1) -> bool:
-    """Does the image of ``f`` equal rad^k of its target, as subspaces?
-
-    Checked by mutual containment of spans, never by comparing bases.
-    """
-    return same_span(f.matrix.image_basis(), f.target.radical_power_subspace(k))

@@ -210,8 +210,15 @@ class DenseMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.ncols)]
 
+    def first_nonzero(self):
+        """``(row, col)`` of the first non-zero entry in row-major order, or ``None``."""
+        for r, row in enumerate(self.entries):
+            if any(row):
+                return r, next(c for c, x in enumerate(row) if x)
+        return None
+
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return self.first_nonzero() is None
 
     def _key(self):
         return (self.nrows, self.ncols, self.ring, self.entries)

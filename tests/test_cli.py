@@ -208,12 +208,12 @@ def test_homology_non_complex_json_names_the_composite(capsys):
         capsys, "homology", str(FIXTURES / "bad_complex.json"), "--format", "json"
     )
     assert rc == 1
-    assert err == "not a complex: composite of maps 0 and 1 is nonzero\n"
+    assert err == "not a complex: composite of maps 0 and 1 is nonzero at entry (0, 0)\n"
     assert json.loads(out) == {
         "not_a_complex": {
-            "message": "composite of maps 0 and 1 is nonzero",
+            "message": "composite of maps 0 and 1 is nonzero at entry (0, 0)",
             "position": 0,
-            "entry": None,
+            "entry": [0, 0],
         }
     }
 
@@ -365,6 +365,34 @@ def test_booleans_are_not_integers(tmp_path, capsys, doc, message):
     rc, _, err = run(capsys, "describe", str(path))
     assert rc == 2
     assert message in err
+
+
+BUNDLED_MODULE = json.loads(DATA.joinpath("module.json").read_text())["module"]
+EXACTLY_ONE = '"module" needs exactly one of "free_rank" or "quotient_of_free"'
+
+
+@pytest.mark.parametrize(
+    "module, message",
+    [
+        # read free_rank first, this document used to give Tor (40, 12, 8)
+        (dict(BUNDLED_MODULE, free_rank=2), EXACTLY_ONE),
+        (
+            {"free_rank": 2, "relations": BUNDLED_MODULE["relations"]},
+            '"module.relations" needs "quotient_of_free", not "free_rank"',
+        ),
+        ({"relations": BUNDLED_MODULE["relations"]}, EXACTLY_ONE),
+    ],
+    ids=["both_ranks", "free_rank_with_relations", "no_rank"],
+)
+@pytest.mark.parametrize("command", ["tor", "describe"])
+def test_ambiguous_module_objects_are_rejected(tmp_path, capsys, module, message, command):
+    doc = json.loads(DATA.joinpath("module.json").read_text())
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(dict(doc, module=module)))
+    argv = ["tor", data_path("resolution.json")] if command == "tor" else ["describe"]
+    rc, out, err = run(capsys, *argv, str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: %s\n" % message
 
 
 # -- size limits ----------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Algebras, modules and maps that the library builds itself (square-zero
-algebras, free modules, direct sum powers, quotients and induced maps) skip
-the public constructors' checks, being valid by construction, and algebra
-elements are normalized only where their coordinates come from outside.
-Subspaces are basis matrices, closed under the action by construction because
-they are generated (submodules and radical powers), and nothing checks them at
-run time.  Sums and products of field values are reduced where they are
-stored, in matrices built by ``Matrix._raw``, algebra elements and
+"""Algebras, modules and complexes that the library builds itself
+(square-zero algebras, free modules, direct sum powers, quotients and the
+complexes of ``tor_from_resolution``) skip the public constructors' checks,
+being valid by construction, and algebra elements are normalized only where
+their coordinates come from outside.  An induced map is a bare K-matrix, which
+commutes with the action by construction and is never checked as a module
+map.  Subspaces are basis matrices, closed under the action by construction
+because they are generated (submodules and radical powers), and nothing checks
+them at run time.  Sums and products of field values are reduced where they
+are stored, in matrices built by ``Matrix._raw``, algebra elements and
 polynomials, and nowhere checked.  Every matrix the library builds, over a
 field, an algebra or a variable table, is made by ``_raw`` without the public
 constructor's entry and shape checks.  Here every such object built while the
@@ -19,6 +21,7 @@ from importlib.resources import files
 
 import pytest
 
+from torcheck import cli, complexes
 from torcheck.algebras import (
     AlgebraElement,
     ArtinAlgebra,
@@ -28,7 +31,7 @@ from torcheck.algebras import (
     monomial_square_zero_algebra,
 )
 from torcheck.cli import main
-from torcheck.complexes import AlgebraMatrix, ModuleMap, check_module_map
+from torcheck.complexes import AlgebraMatrix, ChainComplex, ModuleMap, check_module_map
 from torcheck.linalg import GF, QQ, Matrix, subspace_leq
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import full_report
@@ -38,9 +41,9 @@ DATA = files("torcheck").joinpath("data")
 
 @pytest.fixture
 def built(monkeypatch):
-    """Lists of the algebras, modules and maps returned by the trusted
+    """Lists of the algebras, modules and complexes returned by the trusted
     constructors."""
-    record = {ArtinAlgebra: [], FDModule: [], ModuleMap: []}
+    record = {ArtinAlgebra: [], FDModule: [], ChainComplex: []}
     for cls, objects in record.items():
         raw = cls._raw
 
@@ -51,6 +54,23 @@ def built(monkeypatch):
 
         monkeypatch.setattr(cls, "_raw", staticmethod(recording))
     return record
+
+
+@pytest.fixture
+def induced(monkeypatch):
+    """List of ``(algebra matrix, module, K-matrix)`` for every induced map,
+    recorded at each module that binds ``induced_map``."""
+    made = []
+    build = complexes.induced_map
+
+    def recording(a, module):
+        matrix = build(a, module)
+        made.append((a, module, matrix))
+        return matrix
+
+    for mod in (complexes, cli):
+        monkeypatch.setattr(mod, "induced_map", recording)
+    return made
 
 
 @pytest.fixture
@@ -141,16 +161,38 @@ def run_battery_and_commands(capsys):
     capsys.readouterr()
 
 
-def test_trusted_objects_pass_the_public_validators(built, capsys):
+def test_trusted_objects_pass_the_public_validators(built, induced, capsys):
     run_battery_and_commands(capsys)
 
-    modules, maps = built[FDModule], built[ModuleMap]
+    # copies: the checks below build modules and maps of their own
+    modules, chain_complexes = list(built[FDModule]), list(built[ChainComplex])
+    maps = list(induced)
     assert {m.dim for m in modules} >= {3, 6, 12, 24}
-    assert len(maps) >= 4
+    # Tor over two fields in the battery and once in the tor command
+    assert len(chain_complexes) == 3
+    # two per Tor, two in the homology command
+    assert len(maps) == 8
     for m in modules:
         check_module_axioms(m.algebra, m.actions)
-    for f in maps:
-        check_module_map(f.source, f.target, f.matrix)
+    for cx in chain_complexes:
+        assert ChainComplex(cx.maps).dims == cx.dims
+    for a, N, matrix in maps:
+        check_module_map(N.direct_sum_power(a.nrows), N.direct_sum_power(a.ncols), matrix)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tor", "resolution.json", "module.json"], ["homology", "complex.json"]],
+    ids=["tor", "homology"],
+)
+def test_commands_build_no_module_past_the_documents_free_module(monkeypatch, capsys, argv):
+    # Tor and homology are ranks of K-matrices, so no power N^k is built; the
+    # largest module is S^2 (dim 6), of which both bundled modules are quotients
+    modules = []
+    record_results(monkeypatch, FDModule, "_raw", modules, staticmethod)
+    assert main([argv[0]] + [str(DATA.joinpath(name)) for name in argv[1:]]) == 0
+    capsys.readouterr()
+    assert max(m.dim for m in modules) == 6
 
 
 def test_trusted_algebras_pass_the_public_validator(built, capsys):
