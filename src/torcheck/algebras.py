@@ -10,6 +10,9 @@ algebras built here are valid by construction and skip it.
 Element coordinates are normalized into the field once, where they come in:
 in :meth:`ArtinAlgebra.element` and the scalar of a scalar product.  Every
 other element is built by the arithmetic here, which reduces each coordinate.
+Products of coordinate vectors have one owner,
+:meth:`ArtinAlgebra.coordinate_product`, which element multiplication and
+polynomial substitution share.
 A module built from given action operators is checked against the module
 axioms; the modules derived here (free modules, direct sum powers, quotients)
 satisfy them by construction and skip the check.  Subspaces are basis
@@ -109,7 +112,28 @@ class ArtinAlgebra:
     def generator(self, name) -> "AlgebraElement":
         return self.basis_element(self.basis_names.index(name))
 
+    def coordinate_product(self, a, b) -> tuple:
+        """Coordinates of the product of the elements with coordinate vectors
+        ``a`` and ``b``, whose values are already in the field.  Zero
+        coordinates are skipped, and each output coordinate is reduced."""
+        f = self.field
+        acc = [f.zero()] * self.dim
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            products = self.mult[i]
+            for y, vector in zip(b, products):
+                if not y or not any(vector):
+                    continue
+                xy = x * y
+                for k, c in enumerate(vector):
+                    if c:
+                        acc[k] += xy * c
+        return tuple(map(f.reduce, acc))
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ArtinAlgebra)
             and self.field == other.field
@@ -141,7 +165,7 @@ class AlgebraElement:
         raise AttributeError("AlgebraElement is immutable")
 
     def _check(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("elements of different algebras")
 
     def __add__(self, other):
@@ -163,18 +187,8 @@ class AlgebraElement:
             c = f.normalize(other)
             return AlgebraElement(self.algebra, [f.reduce(c * a) for a in self.coords])
         self._check(other)
-        acc = [f.zero()] * self.algebra.dim
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(self.algebra.mult[i][j]):
-                    if c:
-                        acc[k] += ab * c
-        return AlgebraElement(self.algebra, [f.reduce(x) for x in acc])
+        coords = self.algebra.coordinate_product(self.coords, other.coords)
+        return AlgebraElement(self.algebra, coords)
 
     __rmul__ = __mul__
 
@@ -234,16 +248,18 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
 def block_operator(field, actions, grid, ncols, dim) -> Matrix:
     """The K-matrix of a ``p x ncols`` grid of algebra coordinate vectors
     acting through ``actions``, one ``dim x dim`` operator per basis element.
+    Row ``i`` of ``grid`` lists its cells as ``(k, coords)`` pairs, and a
+    cell it does not list is zero, so a sparse grid costs only its cells.
     Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is the sum of
-    ``c * actions[l]`` over the coordinates ``c`` of ``grid[i][k]``; an empty
-    vector is zero.  One pass skips zero coordinates and zero operator
-    entries and reduces each block where it is stored."""
+    ``c * actions[l]`` over the coordinates ``c`` of cell ``k`` of row ``i``.
+    One pass skips zero coordinates and zero operator entries and reduces
+    each block where it is stored."""
     reduce = field.reduce
     terms = {}  # basis index -> non-zero (column, entry) pairs of each operator row
     rows = [[field.zero()] * (len(grid) * dim) for _ in range(ncols * dim)]
     for i, grid_row in enumerate(grid):
         left = i * dim
-        for k, coords in enumerate(grid_row):
+        for k, coords in grid_row:
             if not any(coords):
                 continue
             band = rows[k * dim : (k + 1) * dim]
@@ -275,7 +291,7 @@ def check_module_axioms(algebra, actions):
         raise ValueError("unit must act as the identity")
     for i, products in enumerate(algebra.mult):
         for j, coords in enumerate(products):
-            if actions[i] @ actions[j] != block_operator(f, actions, [[coords]], 1, dim):
+            if actions[i] @ actions[j] != block_operator(f, actions, [[(0, coords)]], 1, dim):
                 raise ValueError("actions violate the structure constants at (%d, %d)" % (i, j))
 
 
@@ -314,7 +330,7 @@ class FDModule:
         """Operator by which an algebra element acts on the module."""
         if elem.algebra != self.algebra:
             raise ValueError("element of a different algebra")
-        return block_operator(self.algebra.field, self.actions, [[elem.coords]], 1, self.dim)
+        return block_operator(self.algebra.field, self.actions, [[(0, elem.coords)]], 1, self.dim)
 
     def length(self) -> int:
         """Composition length; equals dim_K because the algebra is local with
@@ -386,8 +402,7 @@ class FDModule:
             raise ValueError("power must be non-negative")
         f = self.algebra.field
         diagonals = (
-            [[unit if i == j else () for j in range(k)] for i in range(k)]
-            for unit in Matrix.identity(f, self.algebra.dim).entries
+            [[(i, unit)] for i in range(k)] for unit in Matrix.identity(f, self.algebra.dim).entries
         )
         actions = [block_operator(f, self.actions, g, k, self.dim) for g in diagonals]
         return FDModule._raw(self.algebra, actions)

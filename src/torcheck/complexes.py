@@ -110,7 +110,7 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
     (k, i) the action of a[i][k]; no module N^p or N^q is built."""
     if a.algebra != module.algebra:
         raise ValueError("matrix and module over different algebras")
-    grid = [[e.coords for e in row] for row in a.entries]
+    grid = [[(k, e.coords) for k, e in enumerate(row) if e] for row in a.entries]
     return block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
 
 

@@ -10,12 +10,19 @@ Coefficients are exact field values from :mod:`torcheck.linalg`.  A
 :class:`PolyMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over a table:
 its public constructor checks that each entry from outside uses the table,
 and products and generic matrices are built by the trusted ``_raw``.
+
+Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` works on
+coordinate vectors through the algebra's one coordinate product and builds
+one element per call.  Minors are expanded along their first row; the
+minors of the rows below are cached for one :meth:`PolyMatrix.all_minors`
+call, so each smaller minor is built once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .algebras import AlgebraElement
 from .linalg import DenseMatrix, dense_product
 
 
@@ -63,6 +70,17 @@ def _reduced_terms(field, raw):
     (var index, exponent>0)."""
     reduce = field.reduce
     return {key: c for key, coeff in raw.items() if (c := reduce(coeff))}
+
+
+def _image_coords(name, assignment, algebra):
+    """Coordinates of the image of variable ``name`` under ``assignment``."""
+    try:
+        image = assignment[name]
+    except KeyError:
+        raise ValueError("no image assigned for variable %r" % name) from None
+    if not isinstance(image, AlgebraElement) or image.algebra != algebra:
+        raise ValueError("image of variable %r is not an element of the algebra" % name)
+    return image.coords
 
 
 class WeightedPoly:
@@ -199,22 +217,43 @@ class WeightedPoly:
 
         ``assignment`` maps variable names to elements of ``algebra``.  Being
         defined on generators, the evaluation is a ring homomorphism by
-        construction.  Raises if a variable occurring in the polynomial has
-        no image.
+        construction.  Raises ``ValueError`` if a variable occurring in the
+        polynomial has no image, or an image that is not an element of
+        ``algebra``.
+
+        The arithmetic is on coordinate vectors, and one element is built per
+        call.  Each variable's image is looked up once.  A monomial is a chain
+        of :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls
+        that stops once the running product vanishes; its coefficient times
+        its value is added coordinatewise.
         """
-        result = algebra.zero()
+        if not self.terms:
+            return algebra.zero()
+        f = algebra.field
+        images = {}
+        acc = [f.zero()] * algebra.dim
         for key, coeff in self.terms.items():
-            value = algebra.one()
+            # every image of the monomial is resolved before the products, so
+            # a missing variable raises even after a factor that vanishes
+            factors = []
             for idx, exp in key:
-                name = self.table.name_of(idx)
-                try:
-                    image = assignment[name]
-                except KeyError:
-                    raise ValueError("no image assigned for variable %r" % name) from None
-                for _ in range(exp):
-                    value = value * image
-            result = result + coeff * value
-        return result
+                if idx not in images:
+                    images[idx] = _image_coords(self.table.name_of(idx), assignment, algebra)
+                factors += [images[idx]] * exp
+            if not factors:
+                value = (f.one(),) + (f.zero(),) * (algebra.dim - 1)
+            else:
+                value = factors[0]
+                for image in factors[1:]:
+                    if not any(value):
+                        break
+                    value = algebra.coordinate_product(value, image)
+            if any(value):
+                c = f.normalize(coeff)
+                for k, v in enumerate(value):
+                    if v:
+                        acc[k] += c * v
+        return AlgebraElement(algebra, map(f.reduce, acc))
 
     def __repr__(self):
         if not self.terms:
@@ -274,30 +313,37 @@ class PolyMatrix(DenseMatrix):
                 raise ValueError("%s index out of range: %r" % (kind, idx))
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError("%s indices must be strictly increasing: %r" % (kind, idx))
-        sub = [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        return _det(self.table, sub)
+        return self._expand(tuple(row_idx), tuple(col_idx), {})
 
     def all_minors(self, size):
         """All ``size x size`` minors as ``(row_idx, col_idx, poly)`` triples,
-        in lexicographic order of the index tuples."""
+        in lexicographic order of the index tuples.  The smaller minors met in
+        the expansions are shared through one cache, so each is built once."""
         if size > min(self.nrows, self.ncols):
             raise ValueError("minor size %d exceeds matrix dimensions" % size)
+        cache = {}
         out = []
         for rows in combinations(range(self.nrows), size):
             for cols in combinations(range(self.ncols), size):
-                out.append((rows, cols, self.minor(rows, cols)))
+                out.append((rows, cols, self._expand(rows, cols, cache)))
         return out
 
-
-def _det(table, grid):
-    n = len(grid)
-    if n == 0:
-        return WeightedPoly.constant(table, 1)
-    if n == 1:
-        return grid[0][0]
-    acc = WeightedPoly.zero(table)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _det(table, sub)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    def _expand(self, rows, cols, cache):
+        """Determinant of the submatrix on the index tuples ``rows`` and
+        ``cols``, expanded along its first row.  The minors of the rows below
+        are looked up in, or added to, ``cache``, keyed by ``(rows, cols)``."""
+        if not rows:
+            return WeightedPoly.constant(self.table, 1)
+        top = self.entries[rows[0]]
+        if len(rows) == 1:
+            return top[cols[0]]
+        found = cache.get((rows, cols))
+        if found is not None:
+            return found
+        below = rows[1:]
+        acc = WeightedPoly.zero(self.table)
+        for j, c in enumerate(cols):
+            term = top[c] * self._expand(below, cols[:j] + cols[j + 1 :], cache)
+            acc = acc + (term if j % 2 == 0 else -term)
+        cache[(rows, cols)] = acc
+        return acc

@@ -26,6 +26,7 @@ as cited inputs rather than silently assumed.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,6 +41,13 @@ EXPECTED_DEGREES = {"xy_entries": 5, "minors3": 9, "f": 4, "g": 6, "u_relations"
 # the classes that are relation generators of R, in report order
 RELATION_CLASSES = ("xy_entries", "minors3", "u_relations")
 EXPECTED_BETTI = (8, 4, 2)
+# report label of a derived polynomial from its 1-based key, per class but minors3
+LABEL_FORMATS = {
+    "xy_entries": "xy[%d,%d]",
+    "f": "f",
+    "g": "g[%d,%d]",
+    "u_relations": "u_rel[%d,%d]",
+}
 
 CITED_NOT_VERIFIED = (
     "exactness of the symbolic complex 0 -> R^2 -> R^4 -> R^8 over the "
@@ -71,35 +79,55 @@ class GenericComplexData:
     g: tuple  # ((c1, c2) 1-based, poly), 28 of them, lexicographic
     u_relations: tuple  # ((c1, c2) 1-based, g - f*u), 28 of them
 
-    def labelled_classes(self):
-        """Every derived polynomial class as a list of (label, poly), keyed by
-        class name, in report order."""
+    def keyed_classes(self):
+        """Every derived polynomial class as a sequence of (key, poly), keyed
+        by class name, in report order.  The checks name an offender by
+        :func:`relation_label`, so a passing check formats no label."""
         return {
-            "xy_entries": [("xy[%d,%d]" % pos, p) for pos, p in self.xy_entries],
-            "minors3": [
-                ("minor3[%s|%s]" % (",".join(map(str, rs)), ",".join(map(str, cs))), p)
-                for (rs, cs), p in self.minors3
-            ],
-            "f": [("f", self.f)],
-            "g": [("g[%d,%d]" % pair, p) for pair, p in self.g],
-            "u_relations": [("u_rel[%d,%d]" % pair, p) for pair, p in self.u_relations],
+            "xy_entries": self.xy_entries,
+            "minors3": self.minors3,
+            "f": (((), self.f),),
+            "g": self.g,
+            "u_relations": self.u_relations,
         }
 
     def relation_generators(self):
         """All 268 listed relations as (label, poly), in report order."""
-        classes = self.labelled_classes()
-        return [item for name in RELATION_CLASSES for item in classes[name]]
+        classes = self.keyed_classes()
+        return [
+            (relation_label(name, key), p) for name in RELATION_CLASSES for key, p in classes[name]
+        ]
+
+
+def relation_label(class_name, key) -> str:
+    """Report label of the polynomial at ``key`` in a derived class, such as
+    ``xy[1,2]``, ``minor3[1,2,3|1,2,4]``, ``f``, ``g[1,2]`` or ``u_rel[1,2]``."""
+    if class_name == "minors3":
+        rows, cols = key
+        return "minor3[%s|%s]" % (",".join(map(str, rows)), ",".join(map(str, cols)))
+    return LABEL_FORMATS[class_name] % key
 
 
 @dataclass(frozen=True)
 class SpecializationData:
-    """The specialized side: S, the assignment, the displayed matrices, N."""
+    """The specialized side: S, the assignment, the displayed matrices, N.
+
+    :meth:`module_power` builds each power N^k once, so the length check and
+    the Tor checks of one report share them.
+    """
 
     algebra: ArtinAlgebra
     assignment: dict
     xbar: AlgebraMatrix
     ybar: AlgebraMatrix
     module: FDModule
+    _powers: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def module_power(self, k: int) -> FDModule:
+        """The direct sum power N^k of :attr:`module`."""
+        if k not in self._powers:
+            self._powers[k] = self.module.direct_sum_power(k)
+        return self._powers[k]
 
 
 @dataclass(frozen=True)
@@ -250,12 +278,13 @@ def check_counts(data: GenericComplexData) -> CheckResult:
 
 def check_grading(data: GenericComplexData) -> CheckResult:
     """Every derived polynomial is homogeneous of its forced weighted degree."""
-    classes = data.labelled_classes()
+    classes = data.keyed_classes()
     degrees = dict(EXPECTED_DEGREES)
     for name, expected in EXPECTED_DEGREES.items():
-        for label, p in classes[name]:
+        for key, p in classes[name]:
             if p.weighted_degree() != ("homogeneous", expected):
-                return CheckResult("grading", False, {"degrees": degrees, "offender": label})
+                details = {"degrees": degrees, "offender": relation_label(name, key)}
+                return CheckResult("grading", False, details)
     return CheckResult("grading", True, {"degrees": degrees})
 
 
@@ -265,7 +294,7 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
     min_degree = {}
     min_factors = {}
     offender = None
-    classes = data.labelled_classes()
+    classes = data.keyed_classes()
     for class_name in RELATION_CLASSES:
         degrees = []
         factors = []
@@ -308,8 +337,8 @@ def check_module_lengths(spec: SpecializationData) -> CheckResult:
     measured = {
         "N": N.length(),
         "radical_N": N.radical_submodule().ncols,
-        "N4": N.direct_sum_power(4).length(),
-        "N8": N.direct_sum_power(8).length(),
+        "N4": spec.module_power(4).length(),
+        "N8": spec.module_power(8).length(),
     }
     expected = {"N": 3, "radical_N": 1, "N4": 12, "N8": 24}
     return CheckResult(
@@ -320,15 +349,17 @@ def check_module_lengths(spec: SpecializationData) -> CheckResult:
 def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
     """All 268 listed relations substitute to zero, so the generator
     assignment extends to a ring homomorphism of the presented algebra."""
-    generators = data.relation_generators()
-    zero_count = 0
+    classes = data.keyed_classes()
+    zero_count = total = 0
     offender = None
-    for label, p in generators:
-        if not p.substitute(spec.assignment, spec.algebra):
-            zero_count += 1
-        elif offender is None:
-            offender = label
-    details = {"zero_count": zero_count, "total": len(generators)}
+    for name in RELATION_CLASSES:
+        for key, p in classes[name]:
+            total += 1
+            if not p.substitute(spec.assignment, spec.algebra):
+                zero_count += 1
+            elif offender is None:
+                offender = relation_label(name, key)
+    details = {"zero_count": zero_count, "total": total}
     if offender is not None:
         details["offender"] = offender
     return CheckResult("homomorphism_relations_vanish", offender is None, details)
@@ -380,7 +411,7 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
     fx, fy = report.complex.maps
     # N^2, N^4 and N^8 as modules, for their radicals and lengths
     source, middle, target = (
-        N.direct_sum_power(k) for k in (data.x.nrows, data.x.ncols, data.y.ncols)
+        spec.module_power(k) for k in (data.x.nrows, data.x.ncols, data.y.ncols)
     )
 
     kernel = fx.kernel_basis()

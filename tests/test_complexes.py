@@ -127,10 +127,15 @@ def test_block_operator_places_block_k_i_from_grid_entry_i_k(field):
             return A.element([rng.choice((0, 0, 1, -1, 2, 50)) for _ in range(A.dim)]).coords
 
         for p, q in ((2, 2), (3, 3), (2, 3), (3, 1), (0, 3), (2, 0), (0, 0)):
-            grid = [[coords() for _ in range(q)] for _ in range(p)]
-            got = block_operator(field, M.actions, grid, q, d)
+            # a row lists some of its cells; one it leaves out is zero
+            grid = [
+                [coords() if rng.random() < 0.7 else None for _ in range(q)] for _ in range(p)
+            ]
+            cells = [[(k, c) for k, c in enumerate(row) if c is not None] for row in grid]
+            dense = [[(0,) * A.dim if c is None else c for c in row] for row in grid]
+            got = block_operator(field, M.actions, cells, q, d)
             assert (got.nrows, got.ncols) == (q * d, p * d)
-            assert got == Matrix(field, _ref_blocks(M.actions, grid, q, d), ncols=p * d)
+            assert got == Matrix(field, _ref_blocks(M.actions, dense, q, d), ncols=p * d)
 
 
 @FIELDS

@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torcheck.algebras import monomial_square_zero_algebra
+from torcheck.algebras import ArtinAlgebra, monomial_square_zero_algebra
 from torcheck.linalg import GF, QQ
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
@@ -165,6 +169,63 @@ def test_full_size_minor_is_determinant(xy_setup):
     minors = square.all_minors(2)
     assert len(minors) == 1
     assert minors[0][2] == x.minor([0, 1], [0, 1])
+
+
+def cofactor_det(table, grid):
+    """Reference determinant: expansion along the first row of explicit
+    sub-grids, every minor recomputed where it is met."""
+    if not grid:
+        return WeightedPoly.constant(table, 1)
+    if len(grid) == 1:
+        return grid[0][0]
+    acc = WeightedPoly.zero(table)
+    for j in range(len(grid)):
+        term = grid[0][j] * cofactor_det(table, [row[:j] + row[j + 1 :] for row in grid[1:]])
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def assert_minors_match_cofactor_expansion(m):
+    for size in range(1, min(m.nrows, m.ncols) + 1):
+        got = m.all_minors(size)
+        index_pairs = [
+            (rows, cols)
+            for rows in combinations(range(m.nrows), size)
+            for cols in combinations(range(m.ncols), size)
+        ]
+        assert [(rows, cols) for rows, cols, _ in got] == index_pairs
+        for rows, cols, p in got:
+            ref = cofactor_det(m.table, [[m.entry(i, j) for j in cols] for i in rows])
+            # equal polynomials, with their terms in the same order
+            assert list(p.terms.items()) == list(ref.terms.items()), (rows, cols)
+            assert list(m.minor(rows, cols).terms.items()) == list(ref.terms.items())
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=["fp101", "fp2", "q"])
+def test_all_minors_of_generic_matrices_match_cofactor_expansion(field):
+    table = VarTable(field)
+    for prefix, (nrows, ncols) in zip("abcd", ((4, 8), (3, 3), (2, 4), (5, 2))):
+        assert_minors_match_cofactor_expansion(PolyMatrix.generic(table, prefix, nrows, ncols, 1))
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=["fp101", "fp2", "q"])
+def test_all_minors_of_numeric_matrices_match_cofactor_expansion(field):
+    rng = random.Random(29)
+    table = VarTable(field)
+    table.add_var("v", 1)
+
+    def entry():
+        # zeros, constants and short polynomials, so that terms cancel
+        kind = rng.randrange(3)
+        if kind == 0:
+            return WeightedPoly.zero(table)
+        c = WeightedPoly.constant(table, rng.randrange(-3, 4))
+        return c if kind == 1 else c + mono(table, {"v": rng.randrange(1, 3)}, rng.randrange(-2, 3))
+
+    for nrows, ncols in ((3, 4), (4, 3), (4, 4), (2, 5), (1, 3)):
+        for _ in range(3):
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            assert_minors_match_cofactor_expansion(PolyMatrix(table, rows))
 
 
 def test_minor_alternates_under_column_swap(xy_setup):
@@ -336,3 +397,106 @@ def test_substitute_powers_of_a_unit(field):
     table.add_var("x", 1)
     for n in (2, 3):
         assert mono(table, {"x": n}).substitute({"x": one + s}, S) == one + n * s
+
+
+# -- substitution against element-by-element multiplication -------------------
+
+
+def truncated_line(field):
+    """K[u]/(u^3) given by its table: its radical does not square to zero."""
+    mult = [[tuple(int(i + j == k) for k in range(3)) for j in range(3)] for i in range(3)]
+    return ArtinAlgebra(field, ["1", "u", "u2"], mult)
+
+
+def square_zero_st(field):
+    return monomial_square_zero_algebra(field, ["s", "t"])
+
+
+def substitute_by_elements(p, assignment, algebra):
+    """Reference substitution: each monomial is a product of algebra elements
+    taken factor by factor, and the results are summed as elements."""
+    result = algebra.zero()
+    for key, coeff in p.terms.items():
+        value = algebra.one()
+        for idx, exp in key:
+            name = p.table.name_of(idx)
+            if name not in assignment:
+                raise ValueError("no image assigned for variable %r" % name)
+            for _ in range(exp):
+                value = value * assignment[name]
+        result = result + value * coeff
+    return result
+
+
+SUB_FIELDS = (GF(101), GF(2), QQ)
+SUB_ALGEBRAS = (square_zero_st, truncated_line)
+SUB_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def substitution_cases(draw):
+    """A field, an algebra, a polynomial in a, b, c, dense images, and one of
+    three cases: every image given, one missing, or one from another algebra."""
+    field = draw(st.sampled_from(SUB_FIELDS))
+    make = draw(st.sampled_from(SUB_ALGEBRAS))
+    algebra = make(field)
+    scalars = st.integers(-150, 150)
+    if field == QQ:
+        scalars = scalars | st.fractions(-20, 20, max_denominator=9)
+    table = VarTable(field)
+    for name in SUB_NAMES:
+        table.add_var(name, 1)
+    monomials = st.tuples(
+        scalars, st.dictionaries(st.sampled_from(SUB_NAMES), st.integers(1, 4), max_size=3)
+    )
+    p = WeightedPoly.zero(table)
+    for coeff, exps in draw(st.lists(monomials, max_size=5)):
+        p = p + WeightedPoly.monomial(table, exps, coeff)
+    coords = st.lists(scalars, min_size=algebra.dim, max_size=algebra.dim)
+    assignment = {name: algebra.element(draw(coords)) for name in SUB_NAMES}
+    used = sorted(table.name_of(idx) for idx in p.variables_used())
+    case = draw(st.sampled_from(("complete", "missing", "foreign") if used else ("complete",)))
+    if case != "complete":
+        name = draw(st.sampled_from(used))
+        if case == "missing":
+            del assignment[name]
+        else:
+            # the same table over another field, or another table over this one
+            other_field = draw(st.sampled_from([f for f in SUB_FIELDS if f != field]))
+            other_make = truncated_line if make is square_zero_st else square_zero_st
+            other = draw(st.sampled_from((make(other_field), other_make(field))))
+            assignment[name] = other.one()
+    return p, assignment, algebra, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitution_cases())
+def test_substitute_matches_elementwise_products(case):
+    p, assignment, algebra, kind = case
+    if kind != "complete":
+        with pytest.raises(ValueError):
+            substitute_by_elements(p, assignment, algebra)
+        with pytest.raises(ValueError):
+            p.substitute(assignment, algebra)
+        return
+    got = p.substitute(assignment, algebra)
+    assert got.algebra is algebra
+    assert got == substitute_by_elements(p, assignment, algebra)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
+def test_substitute_resolves_every_image_before_stopping(field):
+    # a monomial whose running product vanishes still needs all its images
+    S = square_zero_st(field)
+    s = S.generator("s")
+    table = VarTable(field)
+    for name in ("a", "b", "c"):
+        table.add_var(name, 1)
+    abc = mono(table, {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(ValueError, match="no image assigned for variable 'c'"):
+        abc.substitute({"a": s, "b": s}, S)
+    with pytest.raises(ValueError, match="no image assigned for variable 'b'"):
+        abc.substitute({"a": S.zero(), "c": s}, S)
+    with pytest.raises(ValueError, match="image of variable 'c' is not an element"):
+        abc.substitute({"a": s, "b": s, "c": truncated_line(field).one()}, S)
+    assert not abc.substitute({"a": s, "b": s, "c": s}, S)

@@ -1,8 +1,11 @@
 import json
+import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+from torcheck.algebras import ArtinAlgebra, FDModule
 from torcheck.complexes import AlgebraMatrix
 from torcheck.linalg import GF, QQ
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
@@ -19,6 +22,7 @@ from torcheck.rigidity import (
     check_psquare,
     check_specialization_matrices,
     full_report,
+    relation_label,
     run_tor_checks,
 )
 
@@ -141,6 +145,141 @@ def test_homomorphism_insensitive_to_u_images(data):
     ):
         shifted = build_specialization(FIELD, u_image=u_image)
         assert check_homomorphism(data, shifted).passed
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("xy_entries", "xy[2,8]"), ("minors3", "minor3[2,3,4|6,7,8]"), ("u_relations", "u_rel[7,8]")],
+)
+def test_homomorphism_names_a_corrupted_last_relation(data, spec, name, label):
+    # the last relation of each class is swapped for one that survives, so
+    # the check must substitute every listed relation to see it
+    items = getattr(data, name)
+    key, _ = items[-1]
+    survivor = WeightedPoly.variable(data.table, "x11")
+    corrupted = replace(data, **{name: items[:-1] + ((key, survivor),)})
+    result = check_homomorphism(corrupted, spec)
+    assert not result.passed
+    assert result.details == {"zero_count": 267, "total": 268, "offender": label}
+
+
+def test_relation_labels(data):
+    def old_label(name, key):
+        if name == "minors3":
+            rs, cs = key
+            return "minor3[%s|%s]" % (",".join(map(str, rs)), ",".join(map(str, cs)))
+        formats = {"xy_entries": "xy[%d,%d]", "g": "g[%d,%d]", "u_relations": "u_rel[%d,%d]"}
+        return formats[name] % key
+
+    labels = [label for label, _ in data.relation_generators()]
+    assert labels == [
+        old_label(name, key)
+        for name in ("xy_entries", "minors3", "u_relations")
+        for key, _ in getattr(data, name)
+    ]
+    assert labels[0] == "xy[1,1]" and labels[16] == "minor3[1,2,3|1,2,3]"
+    assert relation_label("f", ()) == "f"
+    assert relation_label("g", (3, 7)) == "g[3,7]"
+
+
+def algebra_determinant(algebra, grid):
+    """Determinant of a square grid of algebra elements, computed in the
+    algebra by expansion along the first row."""
+    if not grid:
+        return algebra.one()
+    acc = algebra.zero()
+    for j, e in enumerate(grid[0]):
+        term = e * algebra_determinant(algebra, [row[:j] + row[j + 1 :] for row in grid[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def specialized_relations(algebra, assignment):
+    """Each listed relation of R by its label, computed from the specialized
+    matrices in the algebra: entry (i, j) of Xbar Ybar, the 3x3 minors of
+    Ybar, and g(Ybar) - f(Xbar) u."""
+
+    def image(prefix, nrows, ncols):
+        rows = [
+            [assignment["%s%d%d" % (prefix, i, j)] for j in range(1, ncols + 1)]
+            for i in range(1, nrows + 1)
+        ]
+        return AlgebraMatrix(algebra, rows)
+
+    xbar, ybar = image("x", 2, 4), image("y", 4, 8)
+    out = {}
+    xy = xbar @ ybar
+    for i in range(2):
+        for j in range(8):
+            out["xy[%d,%d]" % (i + 1, j + 1)] = xy.entry(i, j)
+    for rows in combinations(range(4), 3):
+        for cols in combinations(range(8), 3):
+            label = "minor3[%s|%s]" % tuple(",".join(str(k + 1) for k in ks) for ks in (rows, cols))
+            grid = [[ybar.entry(r, c) for c in cols] for r in rows]
+            out[label] = algebra_determinant(algebra, grid)
+    f = algebra_determinant(algebra, [[xbar.entry(r, c) for c in (2, 3)] for r in (0, 1)])
+    for c1, c2 in combinations(range(8), 2):
+        g = algebra_determinant(algebra, [[ybar.entry(r, c) for c in (c1, c2)] for r in (0, 1)])
+        out["u_rel[%d,%d]" % (c1 + 1, c2 + 1)] = g - f * assignment["u%d%d" % (c1 + 1, c2 + 1)]
+    return xbar, ybar, out
+
+
+def assert_relations_substitute_to_their_specialized_values(data, algebra, assignment):
+    _, _, expected = specialized_relations(algebra, assignment)
+    generators = data.relation_generators()
+    assert [label for label, _ in generators] == list(expected)
+    for label, p in generators:
+        assert p.substitute(assignment, algebra) == expected[label], label
+
+
+@pytest.mark.parametrize(
+    "field, u_image",
+    [
+        (GF(101), None),
+        (QQ, None),
+        (GF(101), lambda S: S.generator("s") + 5 * S.generator("t")),
+        (QQ, lambda S: 3 * S.generator("s") - S.generator("t")),
+    ],
+    ids=["fp101", "q", "fp101-radical-u", "q-radical-u"],
+)
+def test_symbolic_relations_equal_their_specialized_values(field, u_image):
+    data = build_generic_data(field)
+    spec = build_specialization(field, u_image=u_image)
+    xbar, ybar, _ = specialized_relations(spec.algebra, spec.assignment)
+    assert (xbar, ybar) == (spec.xbar, spec.ybar)
+    assert_relations_substitute_to_their_specialized_values(data, spec.algebra, spec.assignment)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
+def test_symbolic_relations_equal_their_values_under_a_dense_assignment(field):
+    # Under the bundled assignment both routes give 0 for every relation; here
+    # every variable goes to a random unit of K[u]/(u^3), so they must agree
+    # on values that do not vanish.
+    mult = [[tuple(int(i + j == k) for k in range(3)) for j in range(3)] for i in range(3)]
+    A = ArtinAlgebra(field, ["1", "u", "u2"], mult)
+    data = build_generic_data(field)
+    rng = random.Random(12)
+    assignment = {}
+    for idx in range(len(data.table)):
+        coords = [rng.randrange(1, 9), rng.randrange(-9, 9), rng.randrange(-9, 9)]
+        assignment[data.table.name_of(idx)] = A.element(coords)
+    _, _, expected = specialized_relations(A, assignment)
+    assert sum(1 for e in expected.values() if e) > 200
+    assert_relations_substitute_to_their_specialized_values(data, A, assignment)
+
+
+def test_full_report_builds_each_power_of_n_once(monkeypatch):
+    calls = []
+    build = FDModule.direct_sum_power
+
+    def recording(module, k):
+        calls.append((module.dim, k))
+        return build(module, k)
+
+    monkeypatch.setattr(FDModule, "direct_sum_power", recording)
+    assert full_report(FIELD).overall_pass
+    # the free module S^2 of the construction of N, then N^4, N^8 and N^2
+    assert calls == [(3, 2), (3, 4), (3, 8), (3, 2)]
 
 
 def test_pd_witness(data, spec):

@@ -226,7 +226,8 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
     # Every product above has the unit as a factor or two radical factors,
     # whose product vanishes, and the bundled coefficients are small, so no sum
     # above reaches p; products and sums of general elements and polynomials
-    # are added here.
+    # are added here, and substitutions of random polynomials whose images
+    # are dense units, so that the coordinate sums of substitution reach p.
     S = monomial_square_zero_algebra(GF(101), ["s", "t"])
     table = VarTable(GF(101))
     table.add_var("x", 1)
@@ -240,9 +241,24 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
             for _ in range(2)
         )
         p * q - p + q
+    for field, scalar in (
+        (GF(101), lambda: rng.randrange(101)),
+        (QQ, lambda: Fraction(rng.randrange(-99, 100), rng.randrange(1, 9))),
+    ):
+        S = monomial_square_zero_algebra(field, ["s", "t"])
+        table = VarTable(field)
+        for name in ("a", "b", "c"):
+            table.add_var(name, 1)
+        for _ in range(100):
+            p = WeightedPoly.constant(table, scalar())
+            for _ in range(6):
+                exps = {n: rng.randrange(1, 4) for n in rng.sample(("a", "b", "c"), 2)}
+                p = p + WeightedPoly.monomial(table, exps, scalar())
+            units = {n: S.element([rng.randrange(1, 101), scalar(), scalar()]) for n in "abc"}
+            p.substitute(units, S)
     # the checks below build elements and matrices too
     elements, polys, matrices = (list(stored[c]) for c in (AlgebraElement, WeightedPoly, Matrix))
-    assert len(elements) > 10000 and len(polys) > 1000 and len(matrices) > 100
+    assert len(elements) > 1500 and len(polys) > 1000 and len(matrices) > 100
     assert {p.table.field for p in polys} == {m.field for m in matrices} == {GF(101), QQ}
     for e in elements:
         assert e.algebra.element(e.coords) == e, e.coords
