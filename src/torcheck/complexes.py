@@ -25,7 +25,7 @@ are built by the trusted ``_raw``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebras import AlgebraElement, FDModule, block_operator
 from .linalg import DenseMatrix, Matrix, ShapeError, dense_product
@@ -114,13 +114,10 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
     return block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(namedtuple("HomologySummary", "length kernel_dim image_dim")):
     """Homology at one module: its length (kernel dim - image dim) and both dims."""
 
-    length: int
-    kernel_dim: int
-    image_dim: int
+    __slots__ = ()
 
 
 class ChainComplex:
@@ -175,17 +172,15 @@ class ChainComplex:
         return out
 
 
-@dataclass(frozen=True)
-class TorReport:
+class TorReport(namedtuple("TorReport", "degrees complex")):
     """Homology of a specialized resolution tensored with a module.
 
     ``degrees[i]`` is the summary in homological degree i (degree 0 is the
-    cokernel end); ``complex`` is the complex it was taken from, whose
-    ``maps`` are the induced K-matrices in resolution order.
+    cokernel end); ``complex`` is the :class:`ChainComplex` it was taken
+    from, whose ``maps`` are the induced K-matrices in resolution order.
     """
 
-    degrees: tuple
-    complex: ChainComplex
+    __slots__ = ()
 
     def lengths(self):
         return tuple(h.length for h in self.degrees)

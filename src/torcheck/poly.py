@@ -83,6 +83,20 @@ def _image_coords(name, assignment, algebra):
     return image.coords
 
 
+def _coordinate_power(algebra, base, exp):
+    """Coordinates of the ``exp``-th power (``exp >= 1``) of the element with
+    coordinates ``base``, by repeated squaring through
+    :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product`."""
+    result = None
+    while exp:
+        if exp & 1:
+            result = base if result is None else algebra.coordinate_product(result, base)
+        exp >>= 1
+        if exp:
+            base = algebra.coordinate_product(base, base)
+    return result
+
+
 class WeightedPoly:
     """Immutable sparse polynomial over a shared :class:`VarTable`."""
 
@@ -223,9 +237,10 @@ class WeightedPoly:
 
         The arithmetic is on coordinate vectors, and one element is built per
         call.  Each variable's image is looked up once.  A monomial is a chain
-        of :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls
-        that stops once the running product vanishes; its coefficient times
-        its value is added coordinatewise.
+        of :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls,
+        one power of an image at a time, each taken by repeated squaring; the
+        chain stops once the running product vanishes.  The monomial's
+        coefficient times its value is added coordinatewise.
         """
         if not self.terms:
             return algebra.zero()
@@ -235,19 +250,17 @@ class WeightedPoly:
         for key, coeff in self.terms.items():
             # every image of the monomial is resolved before the products, so
             # a missing variable raises even after a factor that vanishes
-            factors = []
-            for idx, exp in key:
+            for idx, _ in key:
                 if idx not in images:
                     images[idx] = _image_coords(self.table.name_of(idx), assignment, algebra)
-                factors += [images[idx]] * exp
-            if not factors:
+            value = None
+            for idx, exp in key:
+                power = _coordinate_power(algebra, images[idx], exp)
+                value = power if value is None else algebra.coordinate_product(value, power)
+                if not any(value):
+                    break
+            if value is None:
                 value = (f.one(),) + (f.zero(),) * (algebra.dim - 1)
-            else:
-                value = factors[0]
-                for image in factors[1:]:
-                    if not any(value):
-                        break
-                    value = algebra.coordinate_product(value, image)
             if any(value):
                 c = f.normalize(coeff)
                 for k, v in enumerate(value):

@@ -26,11 +26,10 @@ as cited inputs rather than silently assumed.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
-from .algebras import ArtinAlgebra, FDModule, free_module, monomial_square_zero_algebra
+from .algebras import FDModule, free_module, monomial_square_zero_algebra
 from .complexes import AlgebraMatrix, NotAComplexError, tor_from_resolution
 from .linalg import same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
@@ -66,18 +65,19 @@ NOT_CONSTRUCTED = (
 )
 
 
-@dataclass(frozen=True)
-class GenericComplexData:
-    """The symbolic side: variables, matrices and relation generators."""
+class GenericComplexData(
+    namedtuple("GenericComplexData", "table x y xy_entries minors3 f g u_relations")
+):
+    """The symbolic side: variables, matrices and relation generators.
 
-    table: VarTable
-    x: PolyMatrix
-    y: PolyMatrix
-    xy_entries: tuple  # ((i, j) 1-based, poly), row-major, 16 of them
-    minors3: tuple  # ((rows, cols) 1-based, poly), 224 of them
-    f: WeightedPoly
-    g: tuple  # ((c1, c2) 1-based, poly), 28 of them, lexicographic
-    u_relations: tuple  # ((c1, c2) 1-based, g - f*u), 28 of them
+    ``table``, ``x``, ``y`` and ``f`` are the variable table, the generic
+    matrices X and Y and the fixed 2x2 minor of X.  The other fields are
+    tuples of (1-based key, poly): ``xy_entries`` ((i, j), row-major, 16 of
+    them), ``minors3`` ((rows, cols), 224), ``g`` ((c1, c2), lexicographic,
+    28) and ``u_relations`` ((c1, c2), g - f*u, 28).
+    """
+
+    __slots__ = ()
 
     def keyed_classes(self):
         """Every derived polynomial class as a sequence of (key, poly), keyed
@@ -108,44 +108,42 @@ def relation_label(class_name, key) -> str:
     return LABEL_FORMATS[class_name] % key
 
 
-@dataclass(frozen=True)
-class SpecializationData:
+class SpecializationData(namedtuple("SpecializationData", "algebra assignment xbar ybar module")):
     """The specialized side: S, the assignment, the displayed matrices, N.
 
-    :meth:`module_power` builds each power N^k once, so the length check and
-    the Tor checks of one report share them.
+    :meth:`module_power` builds each power N^k once and keeps it in the
+    instance dict, so the length check and the Tor checks of one report share
+    them.  The kept powers take no part in ``==`` or ``repr``, and a modified
+    copy made by ``spec._replace(...)`` builds its own.
     """
-
-    algebra: ArtinAlgebra
-    assignment: dict
-    xbar: AlgebraMatrix
-    ybar: AlgebraMatrix
-    module: FDModule
-    _powers: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def module_power(self, k: int) -> FDModule:
         """The direct sum power N^k of :attr:`module`."""
-        if k not in self._powers:
-            self._powers[k] = self.module.direct_sum_power(k)
-        return self._powers[k]
+        powers = vars(self).setdefault("powers", {})
+        if k not in powers:
+            powers[k] = self.module.direct_sum_power(k)
+        return powers[k]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    details: dict
+CheckResult = namedtuple("CheckResult", "name passed details")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    field_label: str
-    checks: tuple
-    tor: dict  # homological degree -> length; empty if the complex check failed
-    betti: tuple
-    lengths: dict
-    cited_not_verified: tuple = CITED_NOT_VERIFIED
-    not_constructed: tuple = NOT_CONSTRUCTED
+class VerificationReport(
+    namedtuple("VerificationReport", "field_label checks tor betti lengths")
+):
+    """The battery's outcome over one field.
+
+    ``checks`` holds the :class:`CheckResult` of each check in run order,
+    ``tor`` maps homological degree to length (empty if the complex check
+    failed), ``betti`` holds the free ranks from degree 0 up, and ``lengths``
+    the measured module lengths.  The cited inputs and the examples not
+    constructed are the same for every report, so ``cited_not_verified`` and
+    ``not_constructed`` are class constants.
+    """
+
+    __slots__ = ()
+    cited_not_verified = CITED_NOT_VERIFIED
+    not_constructed = NOT_CONSTRUCTED
 
     @property
     def overall_pass(self) -> bool:

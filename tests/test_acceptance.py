@@ -9,7 +9,6 @@ import functools
 import json
 import random
 import time
-from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+import torcheck
 from torcheck.cli import main, parse_poly
 from torcheck.linalg import GF, QQ
 from torcheck.poly import VarTable, WeightedPoly
@@ -21,6 +24,21 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_cli_import_loads_no_code_generators():
+    # every command pays for this import; the records are named tuples, so
+    # nothing generates classes through dataclasses, inspect or typing
+    package_dir = str(Path(torcheck.__file__).parent.parent)
+    script = (
+        "import sys; sys.path.insert(0, %r); import torcheck.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
+        % package_dir
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []
 
 
 # -- verify ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torcheck.algebras import ArtinAlgebra, monomial_square_zero_algebra
+from torcheck.cli import MAX_EXPONENT
 from torcheck.linalg import GF, QQ
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
@@ -447,7 +448,10 @@ def substitution_cases(draw):
     for name in SUB_NAMES:
         table.add_var(name, 1)
     monomials = st.tuples(
-        scalars, st.dictionaries(st.sampled_from(SUB_NAMES), st.integers(1, 4), max_size=3)
+        scalars,
+        st.dictionaries(
+            st.sampled_from(SUB_NAMES), st.integers(1, 4) | st.integers(5, 64), max_size=3
+        ),
     )
     p = WeightedPoly.zero(table)
     for coeff, exps in draw(st.lists(monomials, max_size=5)):
@@ -482,6 +486,18 @@ def test_substitute_matches_elementwise_products(case):
     got = p.substitute(assignment, algebra)
     assert got.algebra is algebra
     assert got == substitute_by_elements(p, assignment, algebra)
+
+
+def test_substitute_matches_elementwise_products_at_the_largest_exponent():
+    field = GF(101)
+    S = square_zero_st(field)
+    table = VarTable(field)
+    for name in ("a", "b"):
+        table.add_var(name, 1)
+    n = MAX_EXPONENT
+    p = mono(table, {"a": n}, 3) + mono(table, {"a": n - 1, "b": n}) + mono(table, {"b": n // 2 + 1})
+    assignment = {"a": S.element([7, 3, 5]), "b": S.element([2, 9, 4])}
+    assert p.substitute(assignment, S) == substitute_by_elements(p, assignment, S)
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])

@@ -1,13 +1,12 @@
 import json
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from torcheck.algebras import ArtinAlgebra, FDModule
 from torcheck.complexes import AlgebraMatrix
-from torcheck.linalg import GF, QQ
+from torcheck.linalg import GF, QQ, Matrix
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import (
     assemble_generic_data,
@@ -114,7 +113,7 @@ def test_psquare_passes(data):
 
 def test_psquare_fails_on_bare_variable(data):
     bare = WeightedPoly.variable(data.table, "x11")
-    corrupted = replace(data, u_relations=data.u_relations + (((9, 9), bare),))
+    corrupted = data._replace(u_relations=data.u_relations + (((9, 9), bare),))
     result = check_psquare(corrupted)
     assert not result.passed
     assert result.details["offender"] == "u_relations"
@@ -130,7 +129,7 @@ def test_homomorphism_all_relations_vanish(data, spec):
 
 
 def test_homomorphism_fails_with_unit_image(data, spec):
-    corrupted = replace(spec, assignment={**spec.assignment, "x11": spec.algebra.one()})
+    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.one()})
     result = check_homomorphism(data, corrupted)
     assert not result.passed
     assert result.details["zero_count"] < 268
@@ -157,7 +156,7 @@ def test_homomorphism_names_a_corrupted_last_relation(data, spec, name, label):
     items = getattr(data, name)
     key, _ = items[-1]
     survivor = WeightedPoly.variable(data.table, "x11")
-    corrupted = replace(data, **{name: items[:-1] + ((key, survivor),)})
+    corrupted = data._replace(**{name: items[:-1] + ((key, survivor),)})
     result = check_homomorphism(corrupted, spec)
     assert not result.passed
     assert result.details == {"zero_count": 267, "total": 268, "offender": label}
@@ -277,9 +276,22 @@ def test_full_report_builds_each_power_of_n_once(monkeypatch):
         return build(module, k)
 
     monkeypatch.setattr(FDModule, "direct_sum_power", recording)
-    assert full_report(FIELD).overall_pass
-    # the free module S^2 of the construction of N, then N^4, N^8 and N^2
-    assert calls == [(3, 2), (3, 4), (3, 8), (3, 2)]
+    for field in (FIELD, QQ):
+        calls.clear()
+        assert full_report(field).overall_pass
+        # the free module S^2 of the construction of N, then N^4, N^8 and N^2
+        assert calls == [(3, 2), (3, 4), (3, 8), (3, 2)]
+    spec = build_specialization(FIELD)
+    n4 = spec.module_power(4)
+    # a modified copy builds its own powers; the kept ones take no part in ==
+    zero = spec.algebra.zero()
+    copy = spec._replace(xbar=AlgebraMatrix(spec.algebra, [[zero] * 4] * 2))
+    calls.clear()
+    assert copy.module_power(4) is not n4
+    assert copy.module_power(4) is copy.module_power(4)
+    assert spec.module_power(4) is n4
+    assert calls == [(3, 4)]
+    assert spec._replace() == spec
 
 
 def test_pd_witness(data, spec):
@@ -292,14 +304,14 @@ def test_pd_witness_fails_with_unit_entry(data, spec):
     S = spec.algebra
     rows = [list(r) for r in spec.xbar.entries]
     rows[0][0] = S.one()
-    corrupted = replace(spec, xbar=AlgebraMatrix(S, rows))
+    corrupted = spec._replace(xbar=AlgebraMatrix(S, rows))
     result = check_pd_witness(data, corrupted)
     assert not result.passed
     assert result.details["offender"] == "xbar[1,1]"
 
 
 def test_pd_witness_zero_matrix_passes(data, spec):
-    corrupted = replace(spec, xbar=AlgebraMatrix(spec.algebra, [[spec.algebra.zero()] * 4] * 2))
+    corrupted = spec._replace(xbar=AlgebraMatrix(spec.algebra, [[spec.algebra.zero()] * 4] * 2))
     assert check_pd_witness(data, corrupted).passed
 
 
@@ -327,13 +339,62 @@ def test_tor_checks(data, spec):
 
 
 def test_tor_checks_report_non_complex(data, spec):
-    corrupted = replace(spec, assignment={**spec.assignment, "x11": spec.algebra.one()})
+    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.one()})
     report, checks = run_tor_checks(data, corrupted)
     assert report is None
     assert len(checks) == 1
     assert checks[0].name == "tor_table"
     assert not checks[0].passed
     assert "nonzero" in checks[0].details["error"]
+
+
+@pytest.mark.parametrize("field", [FIELD, QQ], ids=["fp101", "q"])
+def test_linear_parts_of_the_induced_maps_give_the_tor_table(field):
+    # m^2 = 0 and every entry of Xbar and Ybar lies in m, so the map N^p -> N^q
+    # that a p x q matrix induces kills (mN)^p and lands in (mN)^q: its rank is
+    # that of its linear part (N/mN)^p -> (mN)^q, built here from the actions
+    # of s and t on N and a basis of mN alone
+    spec = build_specialization(field)
+    S, N = spec.algebra, spec.module
+    radical = N.radical_submodule()
+    r = radical.ncols
+    # [radical | I] has pivots 0..r-1, then the standard vectors that complete
+    # a basis of N, which lift a basis of N/mN
+    identity = Matrix.identity(field, N.dim)
+    _, pivots = radical.hstack(identity).rref()
+    lifts = Matrix.from_cols(field, [identity.column(j - r) for j in pivots[r:]])
+    c = lifts.ncols
+    assert (r, c) == (1, 2)
+
+    def radical_coordinates(vectors):
+        # rref [radical | vectors] = [I_r | C] over zero rows when they lie in mN
+        red, pivots = radical.hstack(vectors).rref()
+        assert pivots == tuple(range(r))
+        return [row[r:] for row in red.entries[:r]]
+
+    linear = {g: radical_coordinates(N.actions[g] @ lifts) for g in S.radical_indices}
+    assert sorted(S.basis_names[g] for g in linear) == ["s", "t"]
+
+    def linear_part(a):
+        assert all(e.in_radical() for row in a.entries for e in row)
+        rows = [
+            [
+                sum(a.entry(i, k).coords[g] * linear[g][x][y] for g in linear)
+                for i in range(a.nrows)
+                for y in range(c)
+            ]
+            for k in range(a.ncols)
+            for x in range(r)
+        ]
+        return Matrix(field, rows)
+
+    lx, ly = linear_part(spec.xbar), linear_part(spec.ybar)
+    assert (lx.nrows, lx.ncols, ly.nrows, ly.ncols) == (4, 4, 8, 8)
+    rank_x, rank_y = lx.rank(), ly.rank()
+    assert (rank_x, rank_y) == (4, 8)
+    d = N.dim
+    tor = (8 * d - rank_y, 4 * d - rank_y - rank_x, 2 * d - rank_x)
+    assert tor == (16, 0, 2)
 
 
 def test_betti_readout(data):
@@ -389,7 +450,7 @@ def test_full_report_names_first_failure(data, spec):
     S = spec.algebra
     rows = [list(r) for r in spec.ybar.entries]
     rows[0][0] = S.generator("t")
-    corrupted = replace(spec, ybar=AlgebraMatrix(S, rows))
+    corrupted = spec._replace(ybar=AlgebraMatrix(S, rows))
     report = full_report(FIELD, generic=data, specialization=corrupted)
     assert not report.overall_pass
     assert report.first_failure == "specialization_matrices"
@@ -401,7 +462,7 @@ def test_narrower_stored_matrix_is_reported_as_a_shape_mismatch(data, spec):
     # the stored matrix agrees with the displayed one on every shared entry
     S = spec.algebra
     s, t, zero = S.generator("s"), S.generator("t"), S.zero()
-    narrow = replace(spec, xbar=AlgebraMatrix(S, [[s, zero, t], [zero, s, zero]]))
+    narrow = spec._replace(xbar=AlgebraMatrix(S, [[s, zero, t], [zero, s, zero]]))
     report = full_report(FIELD, generic=data, specialization=narrow)
     assert not report.overall_pass
     assert report.first_failure == "specialization_matrices"
