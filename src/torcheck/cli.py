@@ -16,6 +16,9 @@ All scalars in input files are strings ("num/den" over the rationals, decimal
 residues over a prime field) so that no reader ever round-trips them through
 floating point.  Report JSON is emitted with sorted keys, making output
 byte-reproducible.
+
+A document is checked once, where it is parsed; what is built from it after
+that uses the trusted ``_raw`` constructors.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ import json
 import sys
 from functools import partial
 
-from .algebras import free_module, monomial_square_zero_algebra
+from .algebras import AlgebraElement, free_module, monomial_square_zero_algebra
 from .complexes import (
     AlgebraMatrix,
     ChainComplex,
     NotAComplexError,
+    check_chain,
     induced_map,
     tor_from_resolution,
 )
@@ -83,7 +87,7 @@ def check_limit(value, limit, what):
 
 
 def parse_field_flag(text):
-    """``q`` or ``fp:<p>``."""
+    """``q`` or ``fp:<p>``, the latter read as the field spec ``{"fp": p}``."""
     if text == "q":
         return QQ
     if text.startswith("fp:"):
@@ -91,10 +95,7 @@ def parse_field_flag(text):
             p = int(text[3:])
         except ValueError:
             raise InputError("bad field flag %r" % text) from None
-        try:
-            return GF(p)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        return parse_field_spec({"fp": p})
     raise InputError("bad field flag %r (expected q or fp:<p>)" % text)
 
 
@@ -145,13 +146,17 @@ def parse_algebra(field, obj):
         raise InputError("bad algebra: %s" % exc) from None
 
 
-def parse_element(algebra, obj, where):
+def parse_coords(algebra, obj, where):
+    """The field values of an algebra element's ``algebra.dim`` coefficient strings."""
     if not isinstance(obj, list) or len(obj) != algebra.dim:
         raise InputError(
             "%s: an algebra element needs %d coefficient strings" % (where, algebra.dim)
         )
-    coords = [parse_scalar(algebra.field, c, where) for c in obj]
-    return algebra.element(coords)
+    return [parse_scalar(algebra.field, c, where) for c in obj]
+
+
+def parse_element(algebra, obj, where):
+    return AlgebraElement(algebra, parse_coords(algebra, obj, where))
 
 
 def parse_rank(algebra, obj, key):
@@ -181,7 +186,7 @@ def parse_module(algebra, obj):
             raise InputError("%s: a relation needs %d algebra elements" % (where, rank))
         coords = []
         for component in rel:
-            coords.extend(parse_element(algebra, component, where).coords)
+            coords.extend(parse_coords(algebra, component, where))
         gens.append(coords)
     return free_module(algebra, rank).quotient_module(gens)[0]
 
@@ -210,7 +215,7 @@ def parse_grid(obj, where, minimum, parse_entry):
 
 def parse_algebra_matrix(algebra, obj, where):
     cols, grid = parse_grid(obj, where, 0, partial(parse_element, algebra))
-    return AlgebraMatrix(algebra, grid, cols)
+    return AlgebraMatrix._raw(algebra, grid, cols)
 
 
 def parse_poly(table, obj, where):
@@ -251,8 +256,8 @@ def check_map_sizes(matrices, module, where):
 
 
 def parse_poly_matrix(table, obj, where):
-    _, grid = parse_grid(obj, where, 1, partial(parse_poly, table))
-    return PolyMatrix(table, grid)
+    cols, grid = parse_grid(obj, where, 1, partial(parse_poly, table))
+    return PolyMatrix._raw(table, grid, cols)
 
 
 # -- whole documents ----------------------------------------------------------
@@ -313,6 +318,12 @@ def parse_resolution_doc(doc):
     matrices = [
         parse_poly_matrix(table, m, "matrices[%d]" % i) for i, m in enumerate(matrices_json)
     ]
+    if not matrices:
+        raise InputError("resolution has no matrices")
+    try:
+        check_chain(matrices, "resolution matrices")
+    except ShapeError as exc:
+        raise InputError(str(exc)) from None
     assignment_json = doc.get("assignment")
     if not isinstance(assignment_json, dict):
         raise InputError('"assignment" must map variable names to algebra elements')
@@ -326,12 +337,10 @@ def parse_complex_doc(doc):
         raise InputError('"maps" must be a list')
     maps = [parse_algebra_matrix(algebra, m, "maps[%d]" % i) for i, m in enumerate(maps_json)]
     check_map_sizes(maps, module, "maps")
-    for i in range(len(maps) - 1):
-        if maps[i].ncols != maps[i + 1].nrows:
-            raise InputError(
-                "maps %d and %d do not chain: %dx%d then %dx%d"
-                % (i, i + 1, maps[i].nrows, maps[i].ncols, maps[i + 1].nrows, maps[i + 1].ncols)
-            )
+    try:
+        check_chain(maps, "maps")
+    except ShapeError as exc:
+        raise InputError(str(exc)) from None
     return field, algebra, module, maps
 
 
@@ -340,6 +349,11 @@ def parse_complex_doc(doc):
 
 def render_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def emit(args, payload, text):
+    """Write ``payload`` as report JSON under ``--format json``, else ``text``."""
+    write_output(render_json(payload) if args.format == "json" else text, args.out)
 
 
 def write_output(text, out_path):
@@ -388,10 +402,7 @@ def render_report_text(report) -> str:
 def cmd_verify(args) -> int:
     field = parse_field_flag(args.field)
     report = full_report(field)
-    if args.format == "json":
-        write_output(render_json(report.to_dict()), args.out)
-    else:
-        write_output(render_report_text(report), args.out)
+    emit(args, report.to_dict(), render_report_text(report))
     return 0 if report.overall_pass else 1
 
 
@@ -421,54 +432,37 @@ def cmd_tor(args) -> int:
     for m in matrices:
         for row in m.entries:
             for p in row:
-                needed.update(table.name_of(i) for i in p.variables_used())
+                if p:
+                    needed.update(table.name_of(i) for i in p.variables_used())
     missing = sorted(needed - set(assignment))
     if missing:
         raise InputError("assignment misses variables: %s" % ", ".join(missing))
-    if not matrices:
-        raise InputError("resolution has no matrices")
     try:
         report = tor_from_resolution(matrices, assignment, module)
     except NotAComplexError as exc:
         return report_not_a_complex(exc, args)
-    except ShapeError as exc:
-        raise InputError(str(exc)) from None
-    if args.format == "json":
-        payload = {
-            "tor": {str(i): h.length for i, h in enumerate(report.degrees)},
-            "kernel_dims": {str(i): h.kernel_dim for i, h in enumerate(report.degrees)},
-            "image_dims": {str(i): h.image_dim for i, h in enumerate(report.degrees)},
-        }
-        write_output(render_json(payload), args.out)
-    else:
-        lines = [
-            "Tor_%d = %d" % (i, h.length) for i, h in enumerate(report.degrees)
-        ]
-        write_output("\n".join(lines) + "\n", args.out)
+    degrees = list(enumerate(report.degrees))
+    payload = {
+        "tor": {str(i): h.length for i, h in degrees},
+        "kernel_dims": {str(i): h.kernel_dim for i, h in degrees},
+        "image_dims": {str(i): h.image_dim for i, h in degrees},
+    }
+    emit(args, payload, "".join("Tor_%d = %d\n" % (i, h.length) for i, h in degrees))
     return 0
 
 
 def cmd_homology(args) -> int:
     doc = load_json(args.complex)
     _, _, module, maps = parse_complex_doc(doc)
-    if not maps:
-        if args.format == "json":
-            write_output(render_json({"homology": {}}), args.out)
-        else:
-            write_output("", args.out)
-        return 0
-    try:
-        cx = ChainComplex(induced_map(a, module) for a in maps)
-    except NotAComplexError as exc:
-        return report_not_a_complex(exc, args)
-    summaries = cx.homology()
-    top = cx.top_degree
-    if args.format == "json":
-        payload = {"homology": {str(top - pos): h.length for pos, h in enumerate(summaries)}}
-        write_output(render_json(payload), args.out)
-    else:
-        lines = ["H_%d = %d" % (top - pos, h.length) for pos, h in enumerate(summaries)]
-        write_output("\n".join(lines) + "\n", args.out)
+    lengths = []  # (degree, length) from the top degree len(maps) down to 0
+    if maps:
+        try:
+            cx = ChainComplex(induced_map(a, module) for a in maps)
+        except NotAComplexError as exc:
+            return report_not_a_complex(exc, args)
+        lengths = [(len(maps) - pos, h.length) for pos, h in enumerate(cx.homology())]
+    payload = {"homology": {str(k): n for k, n in lengths}}
+    emit(args, payload, "".join("H_%d = %d\n" % kv for kv in lengths))
     return 0
 
 
@@ -511,10 +505,7 @@ def describe_summary(doc) -> dict:
 
 def cmd_describe(args) -> int:
     summary = describe_summary(load_json(args.file))
-    if args.format == "json":
-        write_output(render_json(summary), args.out)
-    else:
-        write_output("".join("%s: %s\n" % item for item in summary.items()), args.out)
+    emit(args, summary, "".join("%s: %s\n" % item for item in summary.items()))
     return 0
 
 

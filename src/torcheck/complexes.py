@@ -19,8 +19,9 @@ module structure is asked about (radicals, in :mod:`torcheck.rigidity`).
 
 An :class:`AlgebraMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over an
 algebra.  Its public constructor checks that each entry from outside belongs
-to the algebra; products, substitutions and the K-matrices of induced maps
-are built by the trusted ``_raw``.
+to the algebra; products, substitutions, the K-matrices of induced maps and
+the matrices the command line has parsed and checked are built by the
+trusted ``_raw``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ class AlgebraMatrix(DenseMatrix):
             raise ValueError("matrices over different algebras")
         rows = dense_product(self, other, self.algebra.zero())
         return AlgebraMatrix._raw(self.algebra, rows, other.ncols)
+
+
+def check_chain(matrices, what):
+    """Raise :class:`ShapeError` unless each matrix's columns match the next
+    one's rows, as the row-vector convention composes them; ``what`` names the
+    list in the message."""
+    for i, (a, b) in enumerate(zip(matrices, matrices[1:])):
+        if a.ncols != b.nrows:
+            raise ShapeError(
+                "%s %d and %d do not chain: %dx%d then %dx%d"
+                % (what, i, i + 1, a.nrows, a.ncols, b.nrows, b.ncols)
+            )
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
@@ -157,10 +170,6 @@ class ChainComplex:
         self.maps = maps
         self.dims = [maps[0].ncols] + [f.nrows for f in maps]
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.maps)
-
     def homology(self):
         """Summaries listed from the left end (degree k) to degree 0."""
         ranks = [f.rank() for f in self.maps] + [0]
@@ -206,19 +215,7 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
     resolution = list(resolution)
     if not resolution:
         raise ValueError("a resolution needs at least one matrix")
-    for i in range(len(resolution) - 1):
-        if resolution[i].ncols != resolution[i + 1].nrows:
-            raise ShapeError(
-                "resolution matrices %d and %d do not chain: %dx%d then %dx%d"
-                % (
-                    i,
-                    i + 1,
-                    resolution[i].nrows,
-                    resolution[i].ncols,
-                    resolution[i + 1].nrows,
-                    resolution[i + 1].ncols,
-                )
-            )
+    check_chain(resolution, "resolution matrices")
     specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
     for i in range(len(specialized) - 1):
         entry = (specialized[i] @ specialized[i + 1]).first_nonzero()

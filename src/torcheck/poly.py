@@ -9,13 +9,14 @@ for input, output and substitution.
 Coefficients are exact field values from :mod:`torcheck.linalg`.  A
 :class:`PolyMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over a table:
 its public constructor checks that each entry from outside uses the table,
-and products and generic matrices are built by the trusted ``_raw``.
+and products, generic matrices and parsed matrices are built by the trusted
+``_raw``.
 
 Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` works on
-coordinate vectors through the algebra's one coordinate product and builds
-one element per call.  Minors are expanded along their first row; the
-minors of the rows below are cached for one :meth:`PolyMatrix.all_minors`
-call, so each smaller minor is built once.
+coordinate vectors through the algebra's one coordinate product, takes each
+power of an image once and builds one element per call.  Minors are expanded
+along their first row; the minors of the rows below are cached for one
+:meth:`PolyMatrix.all_minors` call, so each smaller minor is built once.
 """
 
 from __future__ import annotations
@@ -236,26 +237,28 @@ class WeightedPoly:
         ``algebra``.
 
         The arithmetic is on coordinate vectors, and one element is built per
-        call.  Each variable's image is looked up once.  A monomial is a chain
-        of :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls,
-        one power of an image at a time, each taken by repeated squaring; the
-        chain stops once the running product vanishes.  The monomial's
-        coefficient times its value is added coordinatewise.
+        call.  Each variable's image is looked up once, and each power of an
+        image is taken once, by repeated squaring.  A monomial is a chain of
+        :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls, one
+        power at a time; the chain stops once the running product vanishes.
+        The monomial's coefficient times its value is added coordinatewise.
         """
         if not self.terms:
             return algebra.zero()
         f = algebra.field
-        images = {}
+        powers = {}  # (variable index, exponent) -> coordinates of that power of its image
         acc = [f.zero()] * algebra.dim
         for key, coeff in self.terms.items():
             # every image of the monomial is resolved before the products, so
             # a missing variable raises even after a factor that vanishes
             for idx, _ in key:
-                if idx not in images:
-                    images[idx] = _image_coords(self.table.name_of(idx), assignment, algebra)
+                if (idx, 1) not in powers:
+                    powers[idx, 1] = _image_coords(self.table.name_of(idx), assignment, algebra)
             value = None
             for idx, exp in key:
-                power = _coordinate_power(algebra, images[idx], exp)
+                power = powers.get((idx, exp))
+                if power is None:
+                    power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
                 value = power if value is None else algebra.coordinate_product(value, power)
                 if not any(value):
                     break

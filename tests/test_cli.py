@@ -127,9 +127,15 @@ def test_tor_bundled_files_json(capsys):
 
 
 def test_tor_zero_differential(capsys):
-    rc, out, _ = run(capsys, "tor", str(FIXTURES / "zero_res.json"), data_path("module.json"))
-    assert rc == 0
-    assert out == "Tor_0 = 3\nTor_1 = 3\n"
+    argv = ("tor", str(FIXTURES / "zero_res.json"), data_path("module.json"))
+    assert run(capsys, *argv) == (0, "Tor_0 = 3\nTor_1 = 3\n", "")
+    assert run(capsys, *argv, "--format", "json") == (
+        0,
+        '{\n  "image_dims": {\n    "0": 0,\n    "1": 0\n  },\n'
+        '  "kernel_dims": {\n    "0": 3,\n    "1": 3\n  },\n'
+        '  "tor": {\n    "0": 3,\n    "1": 3\n  }\n}\n',
+        "",
+    )
 
 
 def test_tor_non_complex_exits_one(capsys):
@@ -141,25 +147,24 @@ def test_tor_non_complex_exits_one(capsys):
     assert "entry (0, 0)" in err
 
 
-def test_tor_non_complex_json_names_the_entry(capsys):
-    rc, out, err = run(
-        capsys,
-        "tor",
-        str(FIXTURES / "bad_resolution.json"),
-        data_path("module.json"),
-        "--format",
-        "json",
+def not_a_complex_json(message):
+    """The report of a failed composite at position 0, entry (0, 0)."""
+    return (
+        '{\n  "not_a_complex": {\n    "entry": [\n      0,\n      0\n    ],\n'
+        '    "message": "%s",\n    "position": 0\n  }\n}\n' % message
     )
-    assert rc == 1
-    assert err.startswith("not a complex: ")
-    assert json.loads(out) == {
-        "not_a_complex": {
-            "message": "composite of resolution matrices 0 and 1 substitutes to a "
-            "nonzero element at entry (0, 0)",
-            "position": 0,
-            "entry": [0, 0],
-        }
-    }
+
+
+def test_tor_non_complex_json_names_the_entry(capsys):
+    argv = ("tor", str(FIXTURES / "bad_resolution.json"), data_path("module.json"))
+    message = (
+        "composite of resolution matrices 0 and 1 substitutes to a nonzero element at entry (0, 0)"
+    )
+    assert run(capsys, *argv, "--format", "json") == (
+        1,
+        not_a_complex_json(message),
+        "not a complex: %s\n" % message,
+    )
 
 
 def test_tor_truncated_file(capsys):
@@ -210,9 +215,9 @@ def test_homology_identity_map(capsys):
 
 
 def test_homology_empty_complex(capsys):
-    rc, out, _ = run(capsys, "homology", str(FIXTURES / "empty_complex.json"))
-    assert rc == 0
-    assert out == ""
+    path = str(FIXTURES / "empty_complex.json")
+    assert run(capsys, "homology", path) == (0, "", "")
+    assert run(capsys, "homology", path, "--format", "json") == (0, '{\n  "homology": {}\n}\n', "")
 
 
 def test_homology_non_complex_exits_one(capsys):
@@ -222,18 +227,12 @@ def test_homology_non_complex_exits_one(capsys):
 
 
 def test_homology_non_complex_json_names_the_composite(capsys):
-    rc, out, err = run(
-        capsys, "homology", str(FIXTURES / "bad_complex.json"), "--format", "json"
+    message = "composite of maps 0 and 1 is nonzero at entry (0, 0)"
+    assert run(capsys, "homology", str(FIXTURES / "bad_complex.json"), "--format", "json") == (
+        1,
+        not_a_complex_json(message),
+        "not a complex: %s\n" % message,
     )
-    assert rc == 1
-    assert err == "not a complex: composite of maps 0 and 1 is nonzero at entry (0, 0)\n"
-    assert json.loads(out) == {
-        "not_a_complex": {
-            "message": "composite of maps 0 and 1 is nonzero at entry (0, 0)",
-            "position": 0,
-            "entry": [0, 0],
-        }
-    }
 
 
 def test_homology_zero_row_map_keeps_its_width(capsys):
@@ -244,9 +243,13 @@ def test_homology_zero_row_map_keeps_its_width(capsys):
 
 
 def test_homology_zero_row_map_chains(capsys):
-    rc, out, _ = run(capsys, "homology", str(FIXTURES / "zero_row_chain.json"))
-    assert rc == 0
-    assert out == "H_2 = 0\nH_1 = 2\nH_0 = 0\n"
+    path = str(FIXTURES / "zero_row_chain.json")
+    assert run(capsys, "homology", path) == (0, "H_2 = 0\nH_1 = 2\nH_0 = 0\n", "")
+    assert run(capsys, "homology", path, "--format", "json") == (
+        0,
+        '{\n  "homology": {\n    "0": 0,\n    "1": 2,\n    "2": 0\n  }\n}\n',
+        "",
+    )
 
 
 def test_homology_composite_field_rejected(capsys):
@@ -295,6 +298,21 @@ def test_describe_json(capsys):
         "algebra": "square_zero dim 3 generators s,t",
         "module": "dim 3",
     }
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("unchained_resolution.json", "resolution matrices 0 and 1 do not chain: 1x2 then 3x1"),
+        ("empty_resolution.json", "resolution has no matrices"),
+    ],
+    ids=["unchained", "empty"],
+)
+def test_describe_checks_a_resolution_as_tor_does(capsys, name, message):
+    path = str(FIXTURES / name)
+    error = (2, "", "error: %s\n" % message)
+    assert run(capsys, "describe", path) == error
+    assert run(capsys, "tor", path, data_path("module.json")) == error
 
 
 def test_describe_garbage(capsys):

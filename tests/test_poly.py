@@ -516,3 +516,30 @@ def test_substitute_resolves_every_image_before_stopping(field):
     with pytest.raises(ValueError, match="image of variable 'c' is not an element"):
         abc.substitute({"a": s, "b": s, "c": truncated_line(field).one()}, S)
     assert not abc.substitute({"a": s, "b": s, "c": s}, S)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
+def test_substitute_takes_each_power_once(monkeypatch, field):
+    # sum_i x^1024 y_i: x^1024 takes 10 squarings once, then one product per
+    # monomial; (2 + s0)^1024 s_i = 2^1024 s_i, as s0 s_i = 0
+    gens = ["s%d" % i for i in range(32)]
+    S = monomial_square_zero_algebra(field, gens)
+    table = VarTable(field)
+    table.add_var("x", 1)
+    for i in range(32):
+        table.add_var("y%d" % i, 1)
+    p = WeightedPoly.zero(table)
+    for i in range(32):
+        p = p + mono(table, {"x": MAX_EXPONENT, "y%d" % i: 1})
+    assignment = {"x": 2 * S.one() + S.generator("s0")}
+    assignment.update(("y%d" % i, S.generator(g)) for i, g in enumerate(gens))
+    products = []
+    product = ArtinAlgebra.coordinate_product
+
+    def counting(self, a, b):
+        products.append(1)
+        return product(self, a, b)
+
+    monkeypatch.setattr(ArtinAlgebra, "coordinate_product", counting)
+    assert p.substitute(assignment, S) == S.element([0] + [2**MAX_EXPONENT] * 32)
+    assert len(products) == 10 + 32

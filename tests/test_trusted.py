@@ -10,9 +10,10 @@ them at run time.  Sums and products of field values are reduced where they
 are stored, in matrices built by ``Matrix._raw``, algebra elements and
 polynomials, and nowhere checked.  Every matrix the library builds, over a
 field, an algebra or a variable table, is made by ``_raw`` without the public
-constructor's entry and shape checks.  Here every such object built while the
-battery and the bundled commands run is recorded and checked, so the
-invariants are still tested.
+constructor's entry and shape checks, and so is every element and matrix the
+command line builds from a document it has parsed and checked.  Here every
+such object built while the battery and the bundled commands run is recorded
+and checked, so the invariants are still tested.
 """
 
 import random
@@ -208,15 +209,24 @@ def test_trusted_algebras_pass_the_public_validator(built, capsys):
 
 
 def test_battery_and_commands_never_call_the_public_constructors(monkeypatch, capsys):
+    # the documents' entries are checked where they are parsed, so the parsed
+    # elements and matrices are built as trusted as the library's own
     called = []
-    for cls in (ArtinAlgebra, FDModule, ModuleMap):
-        init = cls.__init__
+    for cls, name in (
+        (ArtinAlgebra, "__init__"),
+        (FDModule, "__init__"),
+        (ModuleMap, "__init__"),
+        (AlgebraMatrix, "__init__"),
+        (PolyMatrix, "__init__"),
+        (ArtinAlgebra, "element"),
+    ):
+        build = getattr(cls, name)
 
-        def recording(self, *args, init=init):
-            called.append(type(self).__name__)
-            init(self, *args)
+        def recording(self, *args, build=build, label="%s.%s" % (cls.__name__, name)):
+            called.append(label)
+            return build(self, *args)
 
-        monkeypatch.setattr(cls, "__init__", recording)
+        monkeypatch.setattr(cls, name, recording)
     run_battery_and_commands(capsys)
     assert called == []
 
