@@ -327,6 +327,13 @@ def parse_resolution_doc(doc):
     assignment_json = doc.get("assignment")
     if not isinstance(assignment_json, dict):
         raise InputError('"assignment" must map variable names to algebra elements')
+    # the element length is the dimension of the module's algebra, which tor checks
+    for name, value in assignment_json.items():
+        where = "assignment[%r]" % name
+        if not isinstance(value, list):
+            raise InputError("%s: an algebra element must be a list of coefficient strings" % where)
+        for c in value:
+            parse_scalar(field, c, where)
     return field, table, matrices, assignment_json
 
 

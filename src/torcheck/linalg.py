@@ -2,10 +2,10 @@
 
 Every homology number in this package reduces to a rank, kernel or column
 span of a dense matrix of modest size (an induced map of a length-6
-resolution is 96x192), so the implementation favours clarity over
-asymptotics: plain Gauss-Jordan elimination with exact arithmetic.  Rational
-entries are ``fractions.Fraction``, prime-field entries are integer residues
-in ``[0, p)``.  No floating point anywhere.
+resolution is 96x192).  Rank, rref and image basis share one fraction-free
+elimination on Python ints (Bareiss); rank and image basis need only its
+forward pass.  Rational entries are ``fractions.Fraction``, prime-field entries
+are integer residues in ``[0, p)``.  No floating point anywhere.
 
 Field values use Python's own ``+ - *`` and truth value.  A value from
 outside enters through the field's checked ``normalize``; a sum or product
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 
 class FieldMismatchError(ValueError):
@@ -288,36 +289,76 @@ class Matrix(DenseMatrix):
 
     # -- elimination --------------------------------------------------
 
+    def _eliminate(self, full):
+        """``(rows, pivots)`` of fraction-free elimination (Bareiss): ``pivots``
+        are the pivot columns and each of ``rows[:len(pivots)]`` a multiple of
+        its rref row.  Over Q rows are scaled to integers by the lcm of their
+        denominators; a step is ``(a*x - b*y) // prev``, ``a`` the pivot and
+        ``prev`` the pivot that last reduced the row, exact since every entry
+        is a minor.  Over F_p it is ``(a*x - b*y) % p``.  Both skip a row whose
+        ``b`` is 0; over Q it owes ``a / prev``, paid if it becomes a pivot row.
+        ``full`` also clears above each pivot; else zero columns are dropped."""
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        if p is None:
+            dens = [lcm(*(x.denominator for x in row)) for row in self.entries]
+            m = [[x.numerator * d // x.denominator for x in r] for r, d in zip(self.entries, dens)]
+        else:
+            m = [list(row) for row in self.entries]
+        cols = range(self.ncols) if full else [j for j, c in enumerate(zip(*m)) if any(c)]
+        if not full:  # a column that is zero in every row never pivots
+            m = [[row[j] for j in cols] for row in m]
+        level = [1] * self.nrows  # the pivot that last reduced each row
+        pivots = []
+        prev = 1
+        for pc in range(len(cols)):
+            pr = len(pivots)
+            if pr == self.nrows:
+                break
+            r = next((r for r in range(pr, self.nrows) if m[r][pc]), None)
+            if r is None:
+                continue
+            m[pr], m[r] = m[r], m[pr]
+            level[pr], level[r] = level[r], level[pr]
+            top = m[pr]
+            # a row at or below pr is zero left of pc; a row above needs every column
+            if p is None and level[pr] != prev:
+                top[pc:] = [x * prev // level[pr] for x in top[pc:]]
+            a, tail = top[pc], top[pc:]
+            for r in range(0 if full else pr + 1, self.nrows):
+                row, b = m[r], m[r][pc]
+                if r == pr or not b:
+                    continue
+                start, ys = (pc, tail) if r > pr else (0, top)
+                if p:
+                    row[start:] = [(a * x - b * y) % p for x, y in zip(row[start:], ys)]
+                else:
+                    row[start:] = [(a * x - b * y) // level[r] for x, y in zip(row[start:], ys)]
+                level[r] = a
+            pivots.append(cols[pc])
+            level[pr] = prev = a
+        return m, tuple(pivots)
+
     def rref(self):
         """Reduced row echelon form.
 
         Returns ``(R, pivots)`` where ``pivots`` is the strictly increasing
-        tuple of pivot column indices.
+        tuple of pivot column indices.  Each pivot row of the full
+        elimination is divided by its own pivot; zero rows follow.
         """
         f = self.field
-        reduce = f.reduce
-        m = [list(row) for row in self.entries]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            if pr == self.nrows:
-                break
-            pivot_row = next((r for r in range(pr, self.nrows) if m[r][pc]), None)
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = f.inv(m[pr][pc])
-            m[pr] = [reduce(inv * x) for x in m[pr]]
-            for r in range(self.nrows):
-                c = m[r][pc]
-                if r != pr and c:
-                    m[r] = [reduce(x - c * y) for x, y in zip(m[r], m[pr])]
-            pivots.append(pc)
-            pr += 1
-        return Matrix._raw(f, m, self.ncols), tuple(pivots)
+        rows, pivots = self._eliminate(True)
+        out = []
+        for row, pc in zip(rows, pivots):
+            if isinstance(f, PrimeField):
+                inv = pow(row[pc], -1, f.p)
+                out.append([x * inv % f.p for x in row])
+            else:
+                out.append([Fraction(x, row[pc]) for x in row])
+        out += [[f.zero()] * self.ncols] * (self.nrows - len(pivots))
+        return Matrix._raw(f, out, self.ncols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._eliminate(False)[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of the right null space, one per free column
@@ -335,26 +376,10 @@ class Matrix(DenseMatrix):
         return Matrix._raw(f, rows, len(free))
 
     def image_basis(self) -> "Matrix":
-        """Columns of ``self`` at the pivot positions of its rref, found one
-        column at a time against an echelon basis of those kept so far, so a
-        column that vanishes on its pivots costs one test per pivot."""
-        f = self.field
-        reduce = f.reduce
-        echelon = []  # (pivot row, kept column reduced, 1 at its pivot row)
-        kept = []
-        for j, v in enumerate(zip(*self.entries)):
-            if len(kept) == self.nrows:
-                break
-            for p, e in echelon:
-                c = v[p]
-                if c:
-                    v = [reduce(x - c * y) for x, y in zip(v, e)]
-            p = next((i for i, x in enumerate(v) if x), None)
-            if p is not None:
-                inv = f.inv(v[p])
-                echelon.append((p, [reduce(inv * x) for x in v]))
-                kept.append(j)
-        return Matrix._raw(f, [[row[j] for j in kept] for row in self.entries], len(kept))
+        """Columns of ``self`` at the pivots of its forward elimination, the
+        first columns independent of those before them."""
+        kept = self._eliminate(False)[1]
+        return Matrix._raw(self.field, [[row[j] for j in kept] for row in self.entries], len(kept))
 
 
 def dense_product(a, b, zero):
