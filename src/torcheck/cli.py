@@ -146,13 +146,18 @@ def parse_algebra(field, obj):
         raise InputError("bad algebra: %s" % exc) from None
 
 
-def parse_coords(algebra, obj, where):
-    """The field values of an algebra element's ``algebra.dim`` coefficient strings."""
-    if not isinstance(obj, list) or len(obj) != algebra.dim:
+def element_length(algebra, values, where):
+    """``values`` if it is a list of ``algebra.dim`` coefficients, else an input error."""
+    if not isinstance(values, list) or len(values) != algebra.dim:
         raise InputError(
             "%s: an algebra element needs %d coefficient strings" % (where, algebra.dim)
         )
-    return [parse_scalar(algebra.field, c, where) for c in obj]
+    return values
+
+
+def parse_coords(algebra, obj, where):
+    """The field values of an algebra element's ``algebra.dim`` coefficient strings."""
+    return [parse_scalar(algebra.field, c, where) for c in element_length(algebra, obj, where)]
 
 
 def parse_element(algebra, obj, where):
@@ -327,14 +332,14 @@ def parse_resolution_doc(doc):
     assignment_json = doc.get("assignment")
     if not isinstance(assignment_json, dict):
         raise InputError('"assignment" must map variable names to algebra elements')
-    # the element length is the dimension of the module's algebra, which tor checks
+    # an element's length is the dimension of the module's algebra, which tor checks
+    assignment = {}
     for name, value in assignment_json.items():
         where = "assignment[%r]" % name
         if not isinstance(value, list):
             raise InputError("%s: an algebra element must be a list of coefficient strings" % where)
-        for c in value:
-            parse_scalar(field, c, where)
-    return field, table, matrices, assignment_json
+        assignment[name] = [parse_scalar(field, c, where) for c in value]
+    return field, table, matrices, assignment
 
 
 def parse_complex_doc(doc):
@@ -426,14 +431,14 @@ def report_not_a_complex(exc, args) -> int:
 def cmd_tor(args) -> int:
     res_doc = load_json(args.resolution)
     mod_doc = load_json(args.module)
-    res_field, table, matrices, assignment_json = parse_resolution_doc(res_doc)
+    res_field, table, matrices, coords = parse_resolution_doc(res_doc)
     mod_field, algebra, module = parse_module_doc(mod_doc)
     if res_field != mod_field:
         raise InputError("resolution and module use different fields")
     check_map_sizes(matrices, module, "matrices")
     assignment = {
-        name: parse_element(algebra, value, "assignment[%r]" % name)
-        for name, value in assignment_json.items()
+        name: AlgebraElement(algebra, element_length(algebra, values, "assignment[%r]" % name))
+        for name, values in coords.items()
     }
     needed = set()
     for m in matrices:
@@ -481,13 +486,13 @@ def describe_summary(doc) -> dict:
     """What ``describe`` reports about a document, in text line order."""
     kind = detect_kind(doc)
     if kind == "resolution":
-        field, table, matrices, assignment_json = parse_resolution_doc(doc)
+        field, table, matrices, assignment = parse_resolution_doc(doc)
         return {
             "kind": kind,
             "field": field.label,
             "variables": len(table),
             "matrices": _shapes(matrices),
-            "assignment": "%d variables" % len(assignment_json),
+            "assignment": "%d variables" % len(assignment),
         }
     module = maps = None
     if kind == "complex":
