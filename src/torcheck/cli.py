@@ -57,10 +57,11 @@ class InputError(Exception):
 # relations down to a basis in one pass, then takes one product per action
 # operator (r + 1 of them) of that basis and of the projection, so past that
 # pass its work is bounded by the module dimension, not by the number of
-# relations.  A "describe" of "quotient_of_free" at its largest takes about
-# 0.3 s of process time over Q at 32 generators (S^3 with no relations; 0.1 s
-# for "free_rank"), 2 s over F_101 with 800 random radical relations (470 KB),
-# and its quotient about 1 s at 127 (S^1), one core of a 2-CPU machine.
+# relations.  A "describe" of S^3 at 32 generators as "quotient_of_free" takes
+# about 0.4 s of process time over Q with no relations (0.2 s as "free_rank"),
+# 0.5, 1.1 and 4.3 s with 10, 50 and 800 dense random radical relations
+# (1.3 MB at 800), and 1.2 s over F_101 with 800, on one core of a 2-CPU
+# machine.
 MAX_GENERATORS = 32
 # S^r has dim S action operators of (dim S * r)^2 entries each: at most
 # 33 * 128^2 = 540k entries at this bound.

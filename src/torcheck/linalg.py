@@ -350,7 +350,7 @@ class Matrix(DenseMatrix):
         out = []
         for row, pc in zip(rows, pivots):
             if isinstance(f, PrimeField):
-                inv = pow(row[pc], -1, f.p)
+                inv = f.inv(row[pc])
                 out.append([x * inv % f.p for x in row])
             else:
                 out.append([Fraction(x, row[pc]) for x in row])

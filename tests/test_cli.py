@@ -315,6 +315,30 @@ def test_describe_checks_a_resolution_as_tor_does(capsys, name, message):
     assert run(capsys, "tor", path, data_path("module.json")) == error
 
 
+@pytest.mark.parametrize(
+    "value, describe_rc, message",
+    [
+        ("garbage", 2, "an algebra element must be a list of coefficient strings"),
+        (["0", "x", "1"], 2, "bad scalar 'x'"),
+        (["0", 1, "1"], 2, "scalars must be strings"),
+        (["0", "1"], 0, "an algebra element needs 3 coefficient strings"),
+    ],
+    ids=["not-a-list", "bad-scalar", "not-a-string", "short"],
+)
+def test_assignment_values_are_lists_of_scalar_strings(tmp_path, capsys, value, describe_rc, message):
+    # the element length is the module's algebra dimension, so only tor sees a short list
+    doc = json.loads(Path(data_path("resolution.json")).read_text())
+    doc["assignment"]["x11"] = value
+    broken = tmp_path / "res.json"
+    broken.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "describe", str(broken))
+    assert rc == describe_rc
+    assert not rc or (err.startswith("error: assignment['x11']: ") and message in err)
+    rc, _, err = run(capsys, "tor", str(broken), data_path("module.json"))
+    assert rc == 2
+    assert err.startswith("error: assignment['x11']: ") and message in err
+
+
 def test_describe_garbage(capsys):
     rc, _, err = run(capsys, "describe", str(FIXTURES / "truncated.json"))
     assert rc == 2

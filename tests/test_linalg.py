@@ -1,12 +1,17 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torcheck.cli import parse_complex_doc
+from torcheck.complexes import induced_map
 from torcheck.linalg import (
     GF,
     QQ,
@@ -19,6 +24,8 @@ from torcheck.linalg import (
     subspace_leq,
 )
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def M(field, rows):
@@ -349,3 +356,115 @@ def test_product_matches_a_triple_loop_and_stays_reduced(operands):
                 assert type(x) is Fraction
             else:
                 assert type(x) is int and 0 <= x < field.p
+
+
+# -- elimination against a textbook reference --------------------------------
+
+P = 101
+
+
+def gauss_jordan(rows, ncols, inv, reduce):
+    """Textbook Gauss-Jordan on field values: scale each pivot row to 1, then
+    clear its column above and below.  ``(rows, pivots)``."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for pc in range(ncols):
+        pr = len(pivots)
+        found = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if found is None:
+            continue
+        m[pr], m[found] = m[found], m[pr]
+        scale = inv(m[pr][pc])
+        m[pr] = [reduce(scale * x) for x in m[pr]]
+        for r in range(len(m)):
+            c = m[r][pc]
+            if r != pr and c:
+                m[r] = [reduce(x - c * y) for x, y in zip(m[r], m[pr])]
+        pivots.append(pc)
+    return m, tuple(pivots)
+
+
+def reference_rref(a):
+    """The rref of ``a`` by Fraction Gauss-Jordan over Q, by residues mod p over F_p."""
+    if a.field == QQ:
+        return gauss_jordan(a.entries, a.ncols, lambda x: 1 / x, lambda x: x)
+    return gauss_jordan(a.entries, a.ncols, lambda x: pow(x, -1, P), lambda x: x % P)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A matrix over Q (denominators up to 6) or GF(101): dense, zero, a
+    rank-deficient product ``L @ R``, with repeated rows, or with some columns
+    zero; 0 rows or 0 columns are allowed."""
+    field = draw(st.sampled_from([QQ, GF(P)]))
+    value = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+
+    def matrix(n, m):
+        flat = draw(st.lists(value, min_size=n * m, max_size=n * m))
+        return Matrix(field, [flat[i * m : (i + 1) * m] for i in range(n)], ncols=m)
+
+    kind = draw(st.sampled_from(["dense", "zero", "product", "repeated", "zero columns"]))
+    if kind == "zero":
+        return Matrix(field, [[0] * ncols] * nrows, ncols=ncols)
+    if kind == "product":
+        inner = draw(st.integers(0, max(min(nrows, ncols) - 1, 0)))
+        return matrix(nrows, inner) @ matrix(inner, ncols)
+    a = matrix(nrows, ncols)
+    if kind == "repeated" and nrows:
+        picks = draw(st.lists(st.integers(0, nrows - 1), min_size=1, max_size=4))
+        return Matrix(field, list(a.entries) + [a.entries[i] for i in picks], ncols=ncols)
+    if kind == "zero columns":
+        gone = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+        rows = [[0 if j in gone else x for j, x in enumerate(row)] for row in a.entries]
+        return Matrix(field, rows, ncols=ncols)
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_inputs())
+def test_elimination_matches_a_textbook_gauss_jordan(a):
+    f = a.field
+    rows, pivots = reference_rref(a)
+    red, got_pivots = a.rref()
+    assert got_pivots == pivots
+    assert [list(row) for row in red.entries] == rows
+    assert all(type(x) is (Fraction if f == QQ else int) for row in red.entries for x in row)
+    assert a.rank() == len(pivots)
+    assert a.image_basis() == Matrix.from_cols(f, [a.column(j) for j in pivots], nrows=a.nrows)
+    free = [j for j in range(a.ncols) if j not in pivots]
+    kernel = [[f.one() if i == j else f.zero() for j in free] for i in range(a.ncols)]
+    for row, pc in zip(rows, pivots):
+        kernel[pc] = [f.reduce(-row[j]) for j in free]
+    assert a.kernel_basis() == Matrix(f, kernel, ncols=len(free))
+
+
+def test_rank_of_the_dense_k_matrix_does_no_fraction_arithmetic(monkeypatch):
+    doc = json.loads((FIXTURES / "bench_dense_complex.json").read_text())
+    _, _, module, maps = parse_complex_doc(doc)
+    k = induced_map(maps[0], module)
+    assert (k.nrows, k.ncols, k.field) == (24, 48, QQ)
+    calls = Counter()
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+
+        def counted(x, y, name=name, original=getattr(Fraction, name)):
+            calls[name] += 1
+            return original(x, y)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    Fraction(1, 2) * Fraction(1, 3)
+    assert calls == {"__mul__": 1}
+    calls.clear()
+    assert k.rank() == 8
+    assert calls == {}
+
+
+def test_rank_and_image_basis_do_not_call_rref(monkeypatch):
+    def no_rref(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    for field in (QQ, GF(P)):
+        a = M(field, [[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]])
+        assert a.rank() == 2
+        assert a.image_basis() == M(field, [[1, 2], [2, 4], [Fraction(1, 2), 0]])
