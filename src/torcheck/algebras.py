@@ -20,8 +20,8 @@ matrices.  The library builds them only by generation (submodules, radical
 powers), so their columns are independent and closed under the action by
 construction and are not checked either; quotients are taken by generators.
 :func:`block_operator` is the one owner of the row-vector block convention:
-element actions, the axiom check, direct sum powers, free modules and the
-induced maps of :mod:`torcheck.complexes` are all grids that it writes.
+the axiom check, direct sum powers, free modules and the induced maps of
+:mod:`torcheck.complexes` are all grids that it writes.
 The length of a module over such an algebra equals its K-dimension, because
 the only simple module is the 1-dimensional residue field.
 """
@@ -325,12 +325,6 @@ class FDModule:
         return "FDModule(dim %d over %r)" % (self.dim, self.algebra)
 
     # -- structure -------------------------------------------------------
-
-    def element_action(self, elem: AlgebraElement) -> Matrix:
-        """Operator by which an algebra element acts on the module."""
-        if elem.algebra != self.algebra:
-            raise ValueError("element of a different algebra")
-        return block_operator(self.algebra.field, self.actions, [[(0, elem.coords)]], 1, self.dim)
 
     def length(self) -> int:
         """Composition length; equals dim_K because the algebra is local with

@@ -38,7 +38,7 @@ from .complexes import (
     tor_from_resolution,
 )
 from .linalg import GF, QQ, ShapeError
-from .poly import PolyMatrix, VarTable, WeightedPoly, _reduced_terms
+from .poly import PolyMatrix, VarTable, sum_terms
 from .rigidity import full_report
 
 
@@ -225,12 +225,11 @@ def parse_algebra_matrix(algebra, obj, where):
 
 
 def parse_poly(table, obj, where):
-    """The sum of the ``[coeff, monomial]`` terms, their coefficients summed
-    per monomial in one dict and reduced once."""
+    """The sum of the ``[coeff, monomial]`` terms, summed per monomial by
+    :func:`~torcheck.poly.sum_terms`, so each coefficient is reduced once."""
     if not isinstance(obj, list):
         raise InputError("%s: a polynomial is a list of [coeff, monomial] terms" % where)
-    zero = table.field.zero()
-    acc = {}
+    pairs = []
     for k, term in enumerate(obj):
         if not isinstance(term, list) or len(term) != 2:
             raise InputError("%s: term %d must be [coeff, monomial]" % (where, k))
@@ -246,9 +245,8 @@ def parse_poly(table, obj, where):
             exp = parse_int(exp, 1, "%s must be a positive integer" % what)
             check_limit(exp, MAX_EXPONENT, what)
             exps[table.index_of(name)] = exp
-        key = tuple(sorted(exps.items()))
-        acc[key] = acc.get(key, zero) + coeff
-    return WeightedPoly(table, _reduced_terms(table.field, acc))
+        pairs.append((tuple(sorted(exps.items())), coeff))
+    return sum_terms(table, pairs)
 
 
 def check_map_sizes(matrices, module, where):

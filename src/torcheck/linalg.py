@@ -218,9 +218,6 @@ class DenseMatrix:
                 return r, next(c for c, x in enumerate(row) if x)
         return None
 
-    def is_zero(self) -> bool:
-        return self.first_nonzero() is None
-
     def _key(self):
         return (self.nrows, self.ncols, self.ring, self.entries)
 

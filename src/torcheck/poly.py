@@ -6,22 +6,26 @@ identify variables by table index internally, so the table may keep growing
 after a polynomial is created (generic matrices extend it); names matter only
 for input, output and substitution.
 
-Coefficients are exact field values from :mod:`torcheck.linalg`.  A
-:class:`PolyMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over a table:
-its public constructor checks that each entry from outside uses the table,
-and products, generic matrices and parsed matrices are built by the trusted
-``_raw``.
+Coefficients are exact field values from :mod:`torcheck.linalg`.  Sums,
+products, minors and parsed polynomials share one accumulator,
+:func:`sum_terms`, which adds ``(monomial, coefficient)`` pairs up in one dict
+and reduces each sum once.  A :class:`PolyMatrix` is a
+:class:`~torcheck.linalg.DenseMatrix` over a table: its public constructor
+checks that each entry from outside uses the table, and products, generic
+matrices and parsed matrices are built by the trusted ``_raw``.
 
 Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` works on
 coordinate vectors through the algebra's one coordinate product, takes each
 power of an image once and builds one element per call.  Minors are expanded
-along their first row; the minors of the rows below are cached for one
-:meth:`PolyMatrix.all_minors` call, so each smaller minor is built once.
+along their first row: the signed products of the cofactors go to one
+:func:`sum_terms` call, so a minor builds no intermediate polynomial, and the
+minors of the rows below are cached for one :meth:`PolyMatrix.all_minors`
+call, so each smaller minor is built once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebras import AlgebraElement
 from .linalg import DenseMatrix, dense_product
@@ -66,11 +70,29 @@ class VarTable:
         return len(self._names)
 
 
-def _reduced_terms(field, raw):
-    """Reduce each coefficient and drop the zeros; keys are sorted tuples of
-    (var index, exponent>0)."""
-    reduce = field.reduce
-    return {key: c for key, coeff in raw.items() if (c := reduce(coeff))}
+def sum_terms(table, pairs):
+    """Sum the ``(key, coeff)`` pairs per monomial key, a sorted tuple of (var
+    index, exponent>0), into one polynomial: each sum is reduced once and the
+    zero sums are dropped; keys keep the order in which they first occur."""
+    acc = {}
+    get = acc.get
+    for key, c in pairs:
+        old = get(key)
+        acc[key] = c if old is None else old + c
+    reduce = table.field.reduce
+    return WeightedPoly(table, {key: r for key, c in acc.items() if (r := reduce(c))})
+
+
+def _product_terms(a, b, sign=1):
+    """The ``(key, coeff)`` pairs of the term-by-term product of the
+    polynomials ``a`` and ``b``, each coefficient times ``sign``."""
+    for ka, ca in a.terms.items():
+        ca *= sign
+        for kb, cb in b.terms.items():
+            exps = dict(ka)
+            for idx, e in kb:
+                exps[idx] = exps.get(idx, 0) + e
+            yield tuple(sorted(exps.items())), ca * cb
 
 
 def _image_coords(name, assignment, algebra):
@@ -150,12 +172,7 @@ class WeightedPoly:
 
     def __add__(self, other):
         self._check_table(other)
-        f = self.table.field
-        zero = f.zero()
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, zero) + c
-        return WeightedPoly(self.table, _reduced_terms(f, acc))
+        return sum_terms(self.table, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -172,16 +189,7 @@ class WeightedPoly:
                 return WeightedPoly.zero(self.table)
             return WeightedPoly(self.table, {k: f.reduce(c * v) for k, v in self.terms.items()})
         self._check_table(other)
-        zero = f.zero()
-        acc = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                exps = dict(ka)
-                for idx, e in kb:
-                    exps[idx] = exps.get(idx, 0) + e
-                key = tuple(sorted(exps.items()))
-                acc[key] = acc.get(key, zero) + ca * cb
-        return WeightedPoly(self.table, _reduced_terms(f, acc))
+        return sum_terms(self.table, _product_terms(self, other))
 
     __rmul__ = __mul__
 
@@ -357,9 +365,9 @@ class PolyMatrix(DenseMatrix):
         if found is not None:
             return found
         below = rows[1:]
-        acc = WeightedPoly.zero(self.table)
-        for j, c in enumerate(cols):
-            term = top[c] * self._expand(below, cols[:j] + cols[j + 1 :], cache)
-            acc = acc + (term if j % 2 == 0 else -term)
-        cache[(rows, cols)] = acc
-        return acc
+        signed = (
+            _product_terms(top[c], self._expand(below, cols[:j] + cols[j + 1 :], cache), (-1) ** j)
+            for j, c in enumerate(cols)
+        )
+        det = cache[(rows, cols)] = sum_terms(self.table, chain.from_iterable(signed))
+        return det

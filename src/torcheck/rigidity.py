@@ -91,13 +91,6 @@ class GenericComplexData(
             "u_relations": self.u_relations,
         }
 
-    def relation_generators(self):
-        """All 268 listed relations as (label, poly), in report order."""
-        classes = self.keyed_classes()
-        return [
-            (relation_label(name, key), p) for name in RELATION_CLASSES for key, p in classes[name]
-        ]
-
 
 def relation_label(class_name, key) -> str:
     """Report label of the polynomial at ``key`` in a derived class, such as

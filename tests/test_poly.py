@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -202,15 +203,13 @@ def assert_minors_match_cofactor_expansion(m):
             assert list(m.minor(rows, cols).terms.items()) == list(ref.terms.items())
 
 
-@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=["fp101", "fp2", "q"])
-def test_all_minors_of_generic_matrices_match_cofactor_expansion(field):
+def generic_matrices(field):
     table = VarTable(field)
-    for prefix, (nrows, ncols) in zip("abcd", ((4, 8), (3, 3), (2, 4), (5, 2))):
-        assert_minors_match_cofactor_expansion(PolyMatrix.generic(table, prefix, nrows, ncols, 1))
+    shapes = ((4, 8), (3, 3), (2, 4), (5, 2))
+    return [PolyMatrix.generic(table, p, nrows, ncols, 1) for p, (nrows, ncols) in zip("abcd", shapes)]
 
 
-@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=["fp101", "fp2", "q"])
-def test_all_minors_of_numeric_matrices_match_cofactor_expansion(field):
+def numeric_matrices(field):
     rng = random.Random(29)
     table = VarTable(field)
     table.add_var("v", 1)
@@ -223,10 +222,75 @@ def test_all_minors_of_numeric_matrices_match_cofactor_expansion(field):
         c = WeightedPoly.constant(table, rng.randrange(-3, 4))
         return c if kind == 1 else c + mono(table, {"v": rng.randrange(1, 3)}, rng.randrange(-2, 3))
 
-    for nrows, ncols in ((3, 4), (4, 3), (4, 4), (2, 5), (1, 3)):
-        for _ in range(3):
-            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
-            assert_minors_match_cofactor_expansion(PolyMatrix(table, rows))
+    return [
+        PolyMatrix(table, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+        for nrows, ncols in ((3, 4), (4, 3), (4, 4), (2, 5), (1, 3))
+        for _ in range(3)
+    ]
+
+
+MINOR_FIELDS = pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=["fp101", "fp2", "q"])
+
+
+@MINOR_FIELDS
+def test_all_minors_of_generic_matrices_match_cofactor_expansion(field):
+    for m in generic_matrices(field):
+        assert_minors_match_cofactor_expansion(m)
+
+
+@MINOR_FIELDS
+def test_all_minors_of_numeric_matrices_match_cofactor_expansion(field):
+    for m in numeric_matrices(field):
+        assert_minors_match_cofactor_expansion(m)
+
+
+def leibniz_det(field, grid):
+    """Reference determinant of a grid of ``{key: coeff}`` term dicts: the sum
+    over permutations of signed products of entries, on plain dicts, with no
+    :class:`WeightedPoly` arithmetic."""
+    acc = {}
+    for perm in permutations(range(len(grid))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        product = {(): (-1) ** inversions}
+        for i, j in enumerate(perm):
+            step = {}
+            for ka, ca in product.items():
+                for kb, cb in grid[i][j].items():
+                    key = tuple(sorted((Counter(dict(ka)) + Counter(dict(kb))).items()))
+                    step[key] = step.get(key, 0) + ca * cb
+            product = step
+        for key, c in product.items():
+            acc[key] = acc.get(key, 0) + c
+    return {key: field.reduce(c) for key, c in acc.items() if field.reduce(c)}
+
+
+@MINOR_FIELDS
+def test_all_minors_match_a_leibniz_sum(field):
+    for m in generic_matrices(field) + numeric_matrices(field):
+        for size in range(1, min(m.nrows, m.ncols) + 1):
+            for rows, cols, p in m.all_minors(size):
+                grid = [[m.entry(i, j).terms for j in cols] for i in rows]
+                assert p.terms == leibniz_det(field, grid), (rows, cols)
+
+
+def test_minors_build_no_intermediate_polynomials(monkeypatch, xy_setup):
+    calls = []
+
+    def counted(name):
+        method = getattr(WeightedPoly, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+
+        return wrapper
+
+    for name in ("__add__", "__neg__", "__mul__"):
+        monkeypatch.setattr(WeightedPoly, name, counted(name))
+    _, _, y = xy_setup
+    minors = y.all_minors(3)
+    assert calls == []
+    assert len(minors) == 224
 
 
 def test_minor_alternates_under_column_swap(xy_setup):

@@ -1,0 +1,76 @@
+"""The package's shape: what it exports, and which module owns each helper."""
+
+import ast
+import types
+from pathlib import Path
+
+import torcheck
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "torcheck").glob("*.py"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private helper has one owner; a second module that needs it should
+    # get a public function instead
+    offenders = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                offenders += [
+                    "%s: from .%s import %s" % (path.name, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert len(SOURCES) > 1
+    assert offenders == []
+
+
+def test_exported_names_are_pinned():
+    # a change here is a change of the public surface, made on purpose
+    exported = sorted(
+        name
+        for name, value in vars(torcheck).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == [
+        "AlgebraElement",
+        "AlgebraMatrix",
+        "ArtinAlgebra",
+        "ChainComplex",
+        "CheckResult",
+        "FDModule",
+        "FieldMismatchError",
+        "GF",
+        "GenericComplexData",
+        "HomologySummary",
+        "Matrix",
+        "ModuleMap",
+        "NotAComplexError",
+        "PolyMatrix",
+        "PrimeField",
+        "QQ",
+        "RationalField",
+        "ShapeError",
+        "SpecializationData",
+        "TorReport",
+        "VarTable",
+        "VerificationReport",
+        "WeightedPoly",
+        "build_generic_data",
+        "build_specialization",
+        "check_grading",
+        "check_homomorphism",
+        "check_module_axioms",
+        "check_module_map",
+        "check_pd_witness",
+        "check_psquare",
+        "free_module",
+        "full_report",
+        "induced_map",
+        "monomial_square_zero_algebra",
+        "run_tor_checks",
+        "same_span",
+        "subspace_leq",
+        "substitute_matrix",
+        "tor_from_resolution",
+    ]
