@@ -209,9 +209,6 @@ class AlgebraElement:
         """Coefficient on the unit basis element."""
         return self.coords[0]
 
-    def in_radical(self) -> bool:
-        return not self.coords[0]
-
     def __repr__(self):
         f = self.algebra.field
         parts = []

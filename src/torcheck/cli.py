@@ -338,6 +338,11 @@ def parse_resolution_doc(doc):
         if not isinstance(value, list):
             raise InputError("%s: an algebra element must be a list of coefficient strings" % where)
         assignment[name] = [parse_scalar(field, c, where) for c in value]
+    entries = (p for m in matrices for row in m.entries for p in row if p)
+    used = {table.name_of(i) for p in entries for i in p.variables_used()}
+    missing = sorted(used - set(assignment))
+    if missing:
+        raise InputError("assignment misses variables: %s" % ", ".join(missing))
     return field, table, matrices, assignment
 
 
@@ -430,7 +435,7 @@ def report_not_a_complex(exc, args) -> int:
 def cmd_tor(args) -> int:
     res_doc = load_json(args.resolution)
     mod_doc = load_json(args.module)
-    res_field, table, matrices, coords = parse_resolution_doc(res_doc)
+    res_field, _, matrices, coords = parse_resolution_doc(res_doc)
     mod_field, algebra, module = parse_module_doc(mod_doc)
     if res_field != mod_field:
         raise InputError("resolution and module use different fields")
@@ -439,15 +444,6 @@ def cmd_tor(args) -> int:
         name: AlgebraElement(algebra, element_length(algebra, values, "assignment[%r]" % name))
         for name, values in coords.items()
     }
-    needed = set()
-    for m in matrices:
-        for row in m.entries:
-            for p in row:
-                if p:
-                    needed.update(table.name_of(i) for i in p.variables_used())
-    missing = sorted(needed - set(assignment))
-    if missing:
-        raise InputError("assignment misses variables: %s" % ", ".join(missing))
     try:
         report = tor_from_resolution(matrices, assignment, module)
     except NotAComplexError as exc:

@@ -41,6 +41,17 @@ class NotAComplexError(ValueError):
         self.entry = entry
 
 
+def _check_composite(product, position, what):
+    """Raise :class:`NotAComplexError` at the first non-zero entry, row-major,
+    of the composite ``product`` of the maps at ``position`` and
+    ``position + 1``; ``what`` words the message up to the entry, with a
+    ``%d`` for each of the two."""
+    entry = product.first_nonzero()
+    if entry is not None:
+        message = what % (position, position + 1) + " at entry (%d, %d)" % entry
+        raise NotAComplexError(message, position=position, entry=entry)
+
+
 class AlgebraMatrix(DenseMatrix):
     """Dense matrix over an algebra; an entry from outside must be an
     :class:`AlgebraElement` of that algebra."""
@@ -148,14 +159,7 @@ class ChainComplex:
         for j in range(len(maps) - 1):
             if maps[j].nrows != maps[j + 1].ncols:
                 raise ShapeError("maps %d and %d do not chain" % (j, j + 1))
-            entry = (maps[j + 1] @ maps[j]).first_nonzero()
-            if entry is not None:
-                raise NotAComplexError(
-                    "composite of maps %d and %d is nonzero at entry (%d, %d)"
-                    % (j, j + 1, *entry),
-                    position=j,
-                    entry=entry,
-                )
+            _check_composite(maps[j + 1] @ maps[j], j, "composite of maps %d and %d is nonzero")
         self._set(maps)
 
     @classmethod
@@ -217,15 +221,9 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
         raise ValueError("a resolution needs at least one matrix")
     check_chain(resolution, "resolution matrices")
     specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
+    what = "composite of resolution matrices %d and %d substitutes to a nonzero element"
     for i in range(len(specialized) - 1):
-        entry = (specialized[i] @ specialized[i + 1]).first_nonzero()
-        if entry is not None:
-            raise NotAComplexError(
-                "composite of resolution matrices %d and %d substitutes to a "
-                "nonzero element at entry (%d, %d)" % (i, i + 1, *entry),
-                position=i,
-                entry=entry,
-            )
+        _check_composite(specialized[i] @ specialized[i + 1], i, what)
     # induced_map(a @ b) == induced_map(b) @ induced_map(a), so the induced
     # composites vanish too and are not multiplied out again
     cx = ChainComplex._raw(induced_map(a, module) for a in specialized)

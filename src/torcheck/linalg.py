@@ -403,16 +403,23 @@ def dense_product(a, b, zero):
     return rows
 
 
-def subspace_leq(a: Matrix, b: Matrix) -> bool:
-    """Is the column span of ``a`` contained in the column span of ``b``?"""
+def _contained(a: Matrix, b: Matrix):
+    """``(is a's column span inside b's, rank of b)``, after checking that
+    both have one field and one ambient dimension."""
     _check_same_field(a, b)
     if a.nrows != b.nrows:
         raise ShapeError("ambient dimensions differ: %d vs %d" % (a.nrows, b.nrows))
-    if a.ncols == 0:
-        return True
-    return b.hstack(a).rank() == b.rank()
+    rank = b.rank()
+    return a.ncols == 0 or b.hstack(a).rank() == rank, rank
+
+
+def subspace_leq(a: Matrix, b: Matrix) -> bool:
+    """Is the column span of ``a`` contained in the column span of ``b``?"""
+    return _contained(a, b)[0]
 
 
 def same_span(a: Matrix, b: Matrix) -> bool:
-    """Mutual containment of column spans; never compares bases entrywise."""
-    return subspace_leq(a, b) and subspace_leq(b, a)
+    """Equal column spans: ``a``'s lies in ``b``'s and has the same dimension.
+    Three eliminations; no bases are compared entrywise."""
+    inside, rank = _contained(a, b)
+    return inside and a.rank() == rank

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .algebras import FDModule, free_module, monomial_square_zero_algebra
 from .complexes import AlgebraMatrix, NotAComplexError, tor_from_resolution
-from .linalg import same_span
+from .linalg import DenseMatrix, same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
@@ -356,26 +356,23 @@ def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> Ch
     return CheckResult("homomorphism_relations_vanish", offender is None, details)
 
 
+def _residue(m):
+    """``m`` modulo the maximal ideal: the matrix of its entries' constant
+    terms, over the field of its ring."""
+    rows = [[e.constant_term() for e in row] for row in m.entries]
+    return DenseMatrix._raw(m.ring.field, rows, m.ncols)
+
+
 def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
-    """Every entry of Xbar lies in the radical and every entry of X has zero
-    constant term, so the first map of the resolution cannot split off."""
-    offender = None
-    for i in range(spec.xbar.nrows):
-        for j in range(spec.xbar.ncols):
-            if not spec.xbar.entry(i, j).in_radical():
-                offender = "xbar[%d,%d]" % (i + 1, j + 1)
-                break
-        if offender:
-            break
-    symbolic_ok = all(
-        not data.x.entry(i, j).constant_term()
-        for i in range(data.x.nrows)
-        for j in range(data.x.ncols)
-    )
-    details = {"xbar_in_radical": offender is None, "x_zero_constant_terms": symbolic_ok}
-    if offender:
-        details["offender"] = offender
-    return CheckResult("pd_witness", offender is None and symbolic_ok, details)
+    """Xbar and X both vanish modulo the maximal ideal: every entry of Xbar
+    lies in the radical and every entry of X has zero constant term, so the
+    first map of the resolution cannot split off."""
+    unit = _residue(spec.xbar).first_nonzero()
+    symbolic_ok = _residue(data.x).first_nonzero() is None
+    details = {"xbar_in_radical": unit is None, "x_zero_constant_terms": symbolic_ok}
+    if unit is not None:
+        details["offender"] = "xbar[%d,%d]" % (unit[0] + 1, unit[1] + 1)
+    return CheckResult("pd_witness", unit is None and symbolic_ok, details)
 
 
 def run_tor_checks(data: GenericComplexData, spec: SpecializationData):

@@ -142,7 +142,7 @@ def test_criterion_6_pd_witness():
     spec = build_specialization(FIELD)
     for row in spec.xbar.entries:
         for entry in row:
-            assert entry.in_radical()
+            assert not entry.constant_term()
     for i in range(data.x.nrows):
         for j in range(data.x.ncols):
             assert data.x.entry(i, j).constant_term() == 0

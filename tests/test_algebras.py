@@ -74,7 +74,7 @@ def test_unit_and_element_arithmetic(S):
     assert (one + s) * (one - s) == one
     assert (s + t) * (s - t) == S.zero()
     assert 3 * s - s == 2 * s
-    assert s.in_radical() and not one.in_radical()
+    assert not s.constant_term() and one.constant_term()
     assert one.constant_term() == 1
 
 

@@ -147,11 +147,11 @@ def test_tor_non_complex_exits_one(capsys):
     assert "entry (0, 0)" in err
 
 
-def not_a_complex_json(message):
-    """The report of a failed composite at position 0, entry (0, 0)."""
+def not_a_complex_json(message, position=0, entry=(0, 0)):
+    """The report of a failed composite at ``position``, ``entry``."""
     return (
-        '{\n  "not_a_complex": {\n    "entry": [\n      0,\n      0\n    ],\n'
-        '    "message": "%s",\n    "position": 0\n  }\n}\n' % message
+        '{\n  "not_a_complex": {\n    "entry": [\n      %d,\n      %d\n    ],\n'
+        '    "message": "%s",\n    "position": %d\n  }\n}\n' % (*entry, message, position)
     )
 
 
@@ -164,6 +164,22 @@ def test_tor_non_complex_json_names_the_entry(capsys):
         1,
         not_a_complex_json(message),
         "not a complex: %s\n" % message,
+    )
+
+
+def test_tor_non_complex_names_a_later_off_diagonal_entry(capsys):
+    # d_0 d_1 = 0 but d_1 d_2 = [[0, 0], [1, 0]], while d_2 d_1 = 0: the report
+    # pins which composite, its order, and row before column
+    argv = ("tor", str(FIXTURES / "bad_second_composite.json"), data_path("module.json"))
+    message = (
+        "composite of resolution matrices 1 and 2 substitutes to a nonzero element at entry (1, 0)"
+    )
+    err = "not a complex: %s\n" % message
+    assert run(capsys, *argv) == (1, "", err)
+    assert run(capsys, *argv, "--format", "json") == (
+        1,
+        not_a_complex_json(message, position=1, entry=(1, 0)),
+        err,
     )
 
 
@@ -181,6 +197,16 @@ def test_tor_missing_assignment(tmp_path, capsys):
     rc, _, err = run(capsys, "tor", str(broken), data_path("module.json"))
     assert rc == 2
     assert "misses variables: x11" in err
+
+
+@pytest.mark.parametrize("command", ["describe", "tor"])
+def test_unassigned_variable_is_an_input_error_for_every_command(capsys, command):
+    # the resolution parser checks the assignment covers the matrices, so
+    # describe rejects what tor rejects
+    argv = [command, str(FIXTURES / "unassigned_resolution.json")]
+    if command == "tor":
+        argv.append(data_path("module.json"))
+    assert run(capsys, *argv) == (2, "", "error: assignment misses variables: x11\n")
 
 
 def test_tor_mismatched_fields(tmp_path, capsys):

@@ -392,6 +392,23 @@ def test_tor_rejects_non_complexes(scene):
     assert exc.value.entry == (0, 0)
 
 
+def test_tor_names_a_later_off_diagonal_entry(scene):
+    # d_0 d_1 = 0 and d_1 d_2 = [[0, 0], [1, 0]], while d_2 d_1 = 0: a swapped
+    # product passes and a swapped index reads (0, 1)
+    S, N, table, _, _, _, _, _ = scene
+
+    def constants(rows):
+        return PolyMatrix(table, [[WeightedPoly.constant(table, c) for c in row] for row in rows])
+
+    res = [constants([[1, 0]]), constants([[0, 0], [0, 1]]), constants([[0, 0], [1, 0]])]
+    with pytest.raises(NotAComplexError) as exc:
+        tor_from_resolution(res, {}, N)
+    assert (exc.value.position, exc.value.entry) == (1, (1, 0))
+    assert str(exc.value) == (
+        "composite of resolution matrices 1 and 2 substitutes to a nonzero element at entry (1, 0)"
+    )
+
+
 def test_tor_checks_composites_in_the_algebra_not_on_the_module():
     # d_2 d_1 = s is nonzero in S but acts as zero on the residue field
     # N = S/rad(S), so a check made only on N would pass this non-complex

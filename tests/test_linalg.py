@@ -194,6 +194,34 @@ def test_same_span_iff_rank_conditions():
         assert same_span(a, b) == expected
 
 
+def test_same_span_of_a_strict_subspace_and_of_two_bases():
+    plane = M(QQ, [[1, 0], [0, 1], [0, 0]])
+    line = M(QQ, [[1], [0], [0]])
+    other_plane = M(QQ, [[1, 1], [1, -1], [0, 0]])
+    empty = Matrix.from_cols(QQ, [], nrows=3)
+    assert not same_span(line, plane) and not same_span(plane, line)
+    assert not same_span(empty, line) and not same_span(line, empty)
+    assert same_span(empty, M(QQ, [[0], [0], [0]]))
+    # field and ambient dimension are checked before any rank is compared
+    with pytest.raises(FieldMismatchError):
+        same_span(M(QQ, [[1]]), M(GF(5), [[0]]))
+    with pytest.raises(ShapeError):
+        same_span(line, Matrix.identity(QQ, 2))
+    assert same_span(plane, other_plane) and same_span(other_plane, plane)
+
+
+def test_same_span_takes_three_eliminations(monkeypatch):
+    # a inside b, then rank a == rank b: b's rank serves both questions
+    eliminations = []
+    eliminate = Matrix._eliminate
+    monkeypatch.setattr(
+        Matrix, "_eliminate", lambda m, full: eliminations.append(m) or eliminate(m, full)
+    )
+    plane = M(QQ, [[1, 0], [0, 1], [0, 0]])
+    assert same_span(plane, M(QQ, [[1, 1], [1, -1], [0, 0]]))
+    assert len(eliminations) == 3
+
+
 # -- property suites -----------------------------------------------------
 
 

@@ -317,6 +317,34 @@ def test_pd_witness_fails_with_unit_entry(data, spec):
     assert result.details["offender"] == "xbar[1,1]"
 
 
+@pytest.mark.parametrize(
+    "units, offender",
+    [([(1, 3)], "xbar[2,4]"), ([(1, 0), (0, 3)], "xbar[1,4]")],
+    ids=["row-2-col-4", "row-major"],
+)
+def test_pd_witness_names_the_first_unit_row_major(data, spec, units, offender):
+    S = spec.algebra
+    rows = [list(r) for r in spec.xbar.entries]
+    for i, j in units:
+        rows[i][j] = S.one()
+    result = check_pd_witness(data, spec._replace(xbar=AlgebraMatrix(S, rows)))
+    assert not result.passed
+    assert result.details == {
+        "offender": offender,
+        "x_zero_constant_terms": True,
+        "xbar_in_radical": False,
+    }
+
+
+def test_pd_witness_rejects_a_constant_term_in_x(data, spec):
+    table = data.x.table
+    rows = [list(r) for r in data.x.entries]
+    rows[1][2] = rows[1][2] + WeightedPoly.constant(table, 1)
+    result = check_pd_witness(data._replace(x=PolyMatrix(table, rows)), spec)
+    assert not result.passed
+    assert result.details == {"xbar_in_radical": True, "x_zero_constant_terms": False}
+
+
 def test_pd_witness_zero_matrix_passes(data, spec):
     corrupted = spec._replace(xbar=AlgebraMatrix(spec.algebra, [[spec.algebra.zero()] * 4] * 2))
     assert check_pd_witness(data, corrupted).passed
@@ -383,7 +411,7 @@ def test_linear_parts_of_the_induced_maps_give_the_tor_table(field):
     assert sorted(S.basis_names[g] for g in linear) == ["s", "t"]
 
     def linear_part(a):
-        assert all(e.in_radical() for row in a.entries for e in row)
+        assert all(not e.constant_term() for row in a.entries for e in row)
         rows = [
             [
                 sum(a.entry(i, k).coords[g] * linear[g][x][y] for g in linear)

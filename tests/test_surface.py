@@ -25,6 +25,34 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
+def calls_of(path, name):
+    """The innermost enclosing function (``None`` at module level) of each
+    call of ``name`` or ``<anything>.name`` in the module at ``path``."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                owners.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return owners
+
+
+def test_not_a_complex_error_is_built_in_one_function():
+    # every failed composite is found and worded by complexes._check_composite
+    callers = [
+        "%s: %s" % (path.name, owner)
+        for path in SOURCES
+        for owner in calls_of(path, "NotAComplexError")
+    ]
+    assert callers == ["complexes.py: _check_composite"]
+
+
 def test_exported_names_are_pinned():
     # a change here is a change of the public surface, made on purpose
     exported = sorted(
