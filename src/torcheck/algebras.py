@@ -265,9 +265,11 @@ def block_operator(field, actions, grid, ncols, dim) -> Matrix:
                     continue
                 if l not in terms:
                     terms[l] = [[(j, x) for j, x in enumerate(r) if x] for r in actions[l].entries]
+                # entry first: over Q an int ``c`` then meets Fraction's
+                # ``__mul__``, not its slower ``__rmul__``
                 for out, row_terms in zip(band, terms[l]):
                     for j, x in row_terms:
-                        out[left + j] += c * x
+                        out[left + j] += x * c
             for out in band:
                 out[left : left + dim] = map(reduce, out[left : left + dim])
     return Matrix._raw(field, rows, len(grid) * dim)

@@ -343,6 +343,9 @@ def parse_resolution_doc(doc):
     missing = sorted(used - set(assignment))
     if missing:
         raise InputError("assignment misses variables: %s" % ", ".join(missing))
+    stray = sorted(name for name in assignment if name not in table)
+    if stray:
+        raise InputError("assignment names undeclared variables: %s" % ", ".join(stray))
     return field, table, matrices, assignment
 
 

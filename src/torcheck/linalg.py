@@ -4,15 +4,19 @@ Every homology number in this package reduces to a rank, kernel or column
 span of a dense matrix of modest size (an induced map of a length-6
 resolution is 96x192).  Rank, rref and image basis share one fraction-free
 elimination on Python ints (Bareiss); rank and image basis need only its
-forward pass.  Rational entries are ``fractions.Fraction``, prime-field entries
-are integer residues in ``[0, p)``.  No floating point anywhere.
+forward pass.  A rational entry is a Python ``int`` when it is an integer and
+a ``fractions.Fraction`` otherwise; prime-field entries are integer residues
+in ``[0, p)``.  No floating point anywhere, and so no ``/``: an exact quotient
+is ``Fraction(a, b)``.
 
 Field values use Python's own ``+ - *`` and truth value.  A value from
 outside enters through the field's checked ``normalize``; a sum or product
-of values already in the field goes through its ``reduce`` (the identity over
-Q, ``% p`` over F_p) before it is stored, whether as a matrix entry, an
-algebra element coordinate or a polynomial coefficient.  A stored value is
-therefore false exactly when it is zero.
+of values already in the field goes through its ``reduce`` (an integral
+``Fraction`` to its numerator over Q, ``% p`` over F_p) before it is stored,
+whether as a matrix entry, an algebra element coordinate or a polynomial
+coefficient.  A stored value is therefore false exactly when it is zero.
+Over Q most stored values are ints, and a sum or product of two ints skips
+``Fraction``'s gcds.
 
 Field, algebra and polynomial matrices share one core, :class:`DenseMatrix`.
 Its public constructor checks entries from outside; every matrix the library
@@ -49,44 +53,45 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of rational numbers.  Values are ``Fraction`` objects with
-    Python's ``+ - *``, false exactly when zero; Fraction sums and products
-    are already in lowest terms, so :meth:`reduce` is the identity."""
+    """The field of rational numbers.  A value is an ``int`` when its
+    denominator is 1 and a ``Fraction`` in lowest terms otherwise, with
+    Python's ``+ - *``, false exactly when zero.  Mixed ``int``/``Fraction``
+    sums and products are exact, but one may be an integral ``Fraction``;
+    :meth:`reduce` takes that to its numerator."""
 
     label = "q"
 
     def normalize(self, x):
         if isinstance(x, float):
             raise TypeError("floating point values are not exact; got %r" % (x,))
-        return Fraction(x)
+        return self.reduce(Fraction(x))
 
     def reduce(self, x):
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
         return x
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.reduce(Fraction(1, a))
 
     def parse(self, s: str):
         """Parse ``"num/den"`` or ``"num"`` (integer strings only)."""
         s = s.strip()
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+            return self.reduce(Fraction(int(num), int(den)))
+        return int(s)
 
     def format(self, a) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return "%d/%d" % (a.numerator, a.denominator)
+        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -350,7 +355,7 @@ class Matrix(DenseMatrix):
                 inv = f.inv(row[pc])
                 out.append([x * inv % f.p for x in row])
             else:
-                out.append([Fraction(x, row[pc]) for x in row])
+                out.append([f.reduce(Fraction(x, row[pc])) for x in row])
         out += [[f.zero()] * self.ncols] * (self.nrows - len(pivots))
         return Matrix._raw(f, out, self.ncols), pivots
 

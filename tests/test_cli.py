@@ -209,6 +209,16 @@ def test_unassigned_variable_is_an_input_error_for_every_command(capsys, command
     assert run(capsys, *argv) == (2, "", "error: assignment misses variables: x11\n")
 
 
+@pytest.mark.parametrize("command", ["describe", "tor"])
+def test_stray_assignment_key_is_an_input_error_for_every_command(capsys, command):
+    # a misspelt or extra key names no declared variable; neither command counts it
+    argv = [command, str(FIXTURES / "stray_assignment.json")]
+    if command == "tor":
+        argv.append(data_path("module.json"))
+    expected = "error: assignment names undeclared variables: zz9\n"
+    assert run(capsys, *argv) == (2, "", expected)
+
+
 def test_tor_mismatched_fields(tmp_path, capsys):
     doc = json.loads(Path(data_path("module.json")).read_text())
     doc["field"] = "q"

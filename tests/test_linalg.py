@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -66,6 +66,38 @@ def test_field_equality():
     assert GF(101) != GF(103)
     assert QQ != GF(2)
     assert PrimeField(5) == GF(5)
+
+
+def is_canonical(field, x):
+    """Over Q an ``int``, or a ``Fraction`` whose denominator is above 1;
+    over F_p an ``int`` in [0, p)."""
+    if field == QQ:
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.p
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=2, max_size=12))
+def test_rational_values_stay_canonical(xs):
+    # an int over Q is one division away from a float; none may appear
+    a, b = QQ.normalize(xs[0]), QQ.normalize(xs[1])
+    assert (a, b) == (xs[0], xs[1])
+    parsed = QQ.parse("%d/%d" % (xs[0].numerator, xs[0].denominator))
+    values = [a, b, parsed, QQ.parse(QQ.format(a)), QQ.normalize(str(xs[0])), QQ.zero(), QQ.one()]
+    values += [QQ.reduce(a + b), QQ.reduce(a - b), QQ.reduce(a * b), QQ.reduce(-a)]
+    if a:
+        assert QQ.inv(a) * a == 1
+        values.append(QQ.inv(a))
+    assert all(is_canonical(QQ, x) for x in values)
+    assert parsed == a
+    ncols = len(xs) // 2
+    m = Matrix(QQ, [xs[:ncols], xs[ncols : 2 * ncols]])
+    assert all(is_canonical(QQ, x) for x in chain.from_iterable(m.entries))
+    for out in (m.rref()[0], m.kernel_basis(), m.image_basis(), m @ m.kernel_basis()):
+        assert all(is_canonical(QQ, x) for x in chain.from_iterable(out.entries))
 
 
 # -- rref --------------------------------------------------------------
@@ -378,12 +410,7 @@ def test_product_matches_a_triple_loop_and_stays_reduced(operands):
     ]
     assert (product_.nrows, product_.ncols) == (a.nrows, b.ncols)
     assert [list(row) for row in product_.entries] == expected
-    for row in product_.entries:
-        for x in row:
-            if field == QQ:
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 <= x < field.p
+    assert all(is_canonical(field, x) for row in product_.entries for x in row)
 
 
 # -- elimination against a textbook reference --------------------------------
@@ -415,7 +442,7 @@ def gauss_jordan(rows, ncols, inv, reduce):
 def reference_rref(a):
     """The rref of ``a`` by Fraction Gauss-Jordan over Q, by residues mod p over F_p."""
     if a.field == QQ:
-        return gauss_jordan(a.entries, a.ncols, lambda x: 1 / x, lambda x: x)
+        return gauss_jordan(a.entries, a.ncols, lambda x: Fraction(1, x), lambda x: x)
     return gauss_jordan(a.entries, a.ncols, lambda x: pow(x, -1, P), lambda x: x % P)
 
 
@@ -457,7 +484,7 @@ def test_elimination_matches_a_textbook_gauss_jordan(a):
     red, got_pivots = a.rref()
     assert got_pivots == pivots
     assert [list(row) for row in red.entries] == rows
-    assert all(type(x) is (Fraction if f == QQ else int) for row in red.entries for x in row)
+    assert all(is_canonical(f, x) for row in red.entries for x in row)
     assert a.rank() == len(pivots)
     assert a.image_basis() == Matrix.from_cols(f, [a.column(j) for j in pivots], nrows=a.nrows)
     free = [j for j in range(a.ncols) if j not in pivots]

@@ -53,6 +53,18 @@ def test_not_a_complex_error_is_built_in_one_function():
     assert callers == ["complexes.py: _check_composite"]
 
 
+def test_no_module_uses_true_division():
+    # a rational with denominator 1 is an int, and int / int is a float;
+    # exact quotients are Fraction(a, b) or a floor division that is known exact
+    divisions = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []
+
+
 def test_exported_names_are_pinned():
     # a change here is a change of the public surface, made on purpose
     exported = sorted(

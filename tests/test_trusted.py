@@ -129,9 +129,10 @@ def bases(monkeypatch):
 
 
 def is_reduced(field, x):
-    """A ``Fraction`` over Q, an ``int`` in [0, p) over F_p."""
+    """Over Q an ``int``, or a ``Fraction`` whose denominator is above 1;
+    over F_p an ``int`` in [0, p)."""
     if field == QQ:
-        return type(x) is Fraction
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
     return type(x) is int and 0 <= x < field.p
 
 
