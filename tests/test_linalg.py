@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -95,9 +95,9 @@ def test_rational_values_stay_canonical(xs):
     assert parsed == a
     ncols = len(xs) // 2
     m = Matrix(QQ, [xs[:ncols], xs[ncols : 2 * ncols]])
-    assert all(is_canonical(QQ, x) for x in chain.from_iterable(m.entries))
+    assert all(is_canonical(QQ, x) for row in m.entries for x in row)
     for out in (m.rref()[0], m.kernel_basis(), m.image_basis(), m @ m.kernel_basis()):
-        assert all(is_canonical(QQ, x) for x in chain.from_iterable(out.entries))
+        assert all(is_canonical(QQ, x) for row in out.entries for x in row)
 
 
 # -- rref --------------------------------------------------------------
