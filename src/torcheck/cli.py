@@ -38,7 +38,7 @@ from .complexes import (
     tor_from_resolution,
 )
 from .linalg import GF, QQ, ShapeError
-from .poly import PolyMatrix, VarTable, sum_terms
+from .poly import PolyMatrix, VarTable, WeightedPoly, sum_terms
 from .rigidity import full_report
 
 
@@ -197,9 +197,11 @@ def parse_module(algebra, obj):
     return free_module(algebra, rank).quotient_module(gens)[0]
 
 
-def parse_grid(obj, where, minimum, parse_entry):
+def parse_grid(obj, where, minimum, parse_entry, empty=None):
     """``(cols, rows of parsed entries)`` of a ``{"rows", "cols", "entries"}``
-    matrix object whose sizes are at least ``minimum``."""
+    matrix object whose sizes are at least ``minimum``.  When ``empty`` is
+    given, an entry ``[]`` is read as that value, with no call of
+    ``parse_entry`` and no location string."""
     if not isinstance(obj, dict):
         raise InputError("%s: a matrix must be an object" % where)
     message = '%s: "rows" and "cols" must be %s integers' % (
@@ -215,7 +217,13 @@ def parse_grid(obj, where, minimum, parse_entry):
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise InputError("%s: row %d needs %d entries" % (where, i, cols))
-        grid.append([parse_entry(e, "%s[%d][%d]" % (where, i, j)) for j, e in enumerate(row)])
+        grid.append(
+            [
+                empty if e == [] and empty is not None
+                else parse_entry(e, "%s[%d][%d]" % (where, i, j))
+                for j, e in enumerate(row)
+            ]
+        )
     return cols, grid
 
 
@@ -260,7 +268,11 @@ def check_map_sizes(matrices, module, where):
 
 
 def parse_poly_matrix(table, obj, where):
-    cols, grid = parse_grid(obj, where, 1, partial(parse_poly, table))
+    """A resolution matrix.  Its ``[]`` entries are all one zero polynomial,
+    built once and shared: a :class:`~torcheck.poly.WeightedPoly` is
+    immutable, and a resolution is mostly zeros."""
+    zero = WeightedPoly.zero(table)
+    cols, grid = parse_grid(obj, where, 1, partial(parse_poly, table), zero)
     return PolyMatrix._raw(table, grid, cols)
 
 

@@ -85,12 +85,17 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra."""
-    return AlgebraMatrix._raw(
-        algebra,
-        [[p.substitute(assignment, algebra) for p in row] for row in m.entries],
-        m.ncols,
-    )
+    """Entrywise polynomial substitution into the algebra.  Only the non-zero
+    entries are substituted; every zero entry is one zero element, built at
+    the first of them and shared, since an :class:`AlgebraElement` is
+    immutable."""
+    zero = None
+    rows = []
+    for row in m.entries:
+        if zero is None and not all(row):
+            zero = algebra.zero()
+        rows.append([p.substitute(assignment, algebra) if p else zero for p in row])
+    return AlgebraMatrix._raw(algebra, rows, m.ncols)
 
 
 def check_module_map(source: FDModule, target: FDModule, matrix: Matrix):

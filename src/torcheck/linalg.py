@@ -62,6 +62,8 @@ class RationalField:
     label = "q"
 
     def normalize(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, float):
             raise TypeError("floating point values are not exact; got %r" % (x,))
         return self.reduce(Fraction(x))

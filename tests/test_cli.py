@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import torcheck
+from torcheck import cli
 from torcheck.cli import main, parse_poly
 from torcheck.linalg import GF, QQ
 from torcheck.poly import VarTable, WeightedPoly
@@ -351,6 +352,40 @@ def test_describe_checks_a_resolution_as_tor_does(capsys, name, message):
     assert run(capsys, "tor", path, data_path("module.json")) == error
 
 
+@pytest.mark.parametrize("command", ["describe", "tor"])
+def test_bad_entry_after_zero_entries_keeps_its_location(tmp_path, capsys, command):
+    # zero entries are read without a location; the next entry still has its own
+    doc = {
+        "field": {"fp": 101},
+        "variables": [["a", 1]],
+        "matrices": [
+            {
+                "rows": 2,
+                "cols": 3,
+                "entries": [[[], [], [["1", {"a": 1}]]], [[], [], [["1", {"zz": 1}]]]],
+            }
+        ],
+        "assignment": {"a": ["0", "1", "0"]},
+    }
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "tor":
+        argv.append(data_path("module.json"))
+    assert run(capsys, *argv) == (2, "", "error: matrices[0][1][2]: unknown variable 'zz'\n")
+
+
+@pytest.mark.parametrize("command", ["describe", "homology"])
+def test_empty_list_is_not_an_algebra_element(tmp_path, capsys, command):
+    # only a polynomial may be written []; an algebra element needs its coordinates
+    doc = json.loads(Path(data_path("complex.json")).read_text())
+    doc["maps"][0]["entries"][0][1] = []
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    message = "error: maps[0][0][1]: an algebra element needs 3 coefficient strings\n"
+    assert run(capsys, command, str(path)) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "value, describe_rc, message",
     [
@@ -624,3 +659,16 @@ def test_parsing_many_terms_adds_no_polynomials(monkeypatch):
     assert calls == []
     # each of the 100 monomials occurs 200 times: 200 = 99 mod 101
     assert got.terms == {((0, e),): 99 for e in range(1, 101)}
+
+
+def test_zero_entries_are_one_shared_polynomial(monkeypatch):
+    # an entry [] is read without parse_poly, as one zero per matrix
+    calls = []
+    parse = cli.parse_poly
+    monkeypatch.setattr(cli, "parse_poly", lambda *args: calls.append(1) or parse(*args))
+    doc = json.loads((FIXTURES / "bench_residue_resolution.json").read_text())
+    _, table, matrices, _ = cli.parse_resolution_doc(doc)
+    assert len(calls) == 126
+    for m in matrices:
+        zeros = [p for row in m.entries for p in row if not p]
+        assert all(p is zeros[0] and p == WeightedPoly.zero(table) for p in zeros)

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torcheck.algebras import (
+    AlgebraElement,
     ArtinAlgebra,
     block_operator,
     free_module,
@@ -18,8 +21,11 @@ from torcheck.complexes import (
     substitute_matrix,
     tor_from_resolution,
 )
+from torcheck.cli import parse_module_doc, parse_resolution_doc
 from torcheck.linalg import GF, QQ, Matrix, ShapeError, same_span
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+
+TESTS = Path(__file__).parent
 
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
@@ -347,6 +353,27 @@ def test_tor_multiplies_no_k_matrices(scene, monkeypatch):
     assert products == []
 
 
+def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
+    # the residue-field resolution has 2,730 entries, of which 126 are non-zero
+    def load(name):
+        return json.loads((TESTS / name).read_text())
+
+    _, _, matrices, coords = parse_resolution_doc(load("fixtures/bench_residue_resolution.json"))
+    _, algebra, module = parse_module_doc(load("fixtures/bench_residue_module.json"))
+    assignment = {name: AlgebraElement(algebra, c) for name, c in coords.items()}
+    calls = []
+    substitute = WeightedPoly.substitute
+    monkeypatch.setattr(
+        WeightedPoly, "substitute", lambda p, *args: calls.append(p) or substitute(p, *args)
+    )
+    report = tor_from_resolution(matrices, assignment, module)
+    assert sum(len(m.entries) * m.ncols for m in matrices) == 2730
+    assert len(calls) == 126
+    assert all(calls)
+    tor = {str(i): h.length for i, h in enumerate(report.degrees)}
+    assert tor == load("golden/tor-residue-fp101.json")["tor"]
+
+
 def test_tor_field_independent():
     for field in (QQ, GF(101)):
         _, N, _, X, Y, assignment, _, _ = build_scene(field)
@@ -465,6 +492,23 @@ def test_substitute_matrix_recovers_displayed_matrices(scene):
     S, _, _, X, Y, assignment, Xbar, Ybar = scene
     assert substitute_matrix(X, assignment, S) == Xbar
     assert substitute_matrix(Y, assignment, S) == Ybar
+
+
+@FIELDS
+def test_substitute_matrix_is_entrywise_substitution(field):
+    S = monomial_square_zero_algebra(field, ["s", "t"])
+    table = VarTable(field)
+    for name in ("a", "b"):
+        table.add_var(name, 1)
+    assignment = {"a": S.one() + S.generator("s") * 2, "b": S.generator("t")}
+    a, b = WeightedPoly.variable(table, "a"), WeightedPoly.variable(table, "b")
+    zero, three = WeightedPoly.zero(table), WeightedPoly.constant(table, 3)
+    rows = [[zero, a * b + three, zero], [a * a, WeightedPoly.zero(table), b - b]]
+    got = substitute_matrix(PolyMatrix(table, rows), assignment, S)
+    assert got == AlgebraMatrix(S, [[p.substitute(assignment, S) for p in row] for row in rows])
+    # the zero entries are one shared zero element
+    zeros = [e for row in got.entries for e in row if not e]
+    assert len(zeros) == 4 and all(e is zeros[0] for e in zeros)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])

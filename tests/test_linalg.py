@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torcheck import linalg
 from torcheck.cli import parse_complex_doc
 from torcheck.complexes import induced_map
 from torcheck.linalg import (
@@ -98,6 +99,23 @@ def test_rational_values_stay_canonical(xs):
     assert all(is_canonical(QQ, x) for row in m.entries for x in row)
     for out in (m.rref()[0], m.kernel_basis(), m.image_basis(), m @ m.kernel_basis()):
         assert all(is_canonical(QQ, x) for row in out.entries for x in row)
+
+
+def test_rational_normalize_takes_an_int_as_it_is(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(linalg, "Fraction", Counted)
+    big = 10**40 + 1
+    assert [QQ.normalize(x) for x in (0, -3, big)] == [0, -3, big]
+    assert made == []
+    # a bool is not an int here: it goes through Fraction and comes out an int
+    assert [type(QQ.normalize(x)) for x in (True, False)] == [int, int]
+    assert made == [(True,), (False,)]
 
 
 # -- rref --------------------------------------------------------------
