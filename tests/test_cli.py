@@ -375,6 +375,16 @@ def test_bad_entry_after_zero_entries_keeps_its_location(tmp_path, capsys, comma
     assert run(capsys, *argv) == (2, "", "error: matrices[0][1][2]: unknown variable 'zz'\n")
 
 
+@pytest.mark.parametrize("entry", [{}, "", 0, None, False], ids=repr)
+def test_only_an_empty_list_is_a_zero_polynomial(tmp_path, capsys, entry):
+    doc = _resolution_doc()
+    doc["matrices"][0]["entries"][0][0] = entry
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps(doc))
+    message = "error: matrices[0][0][0]: a polynomial is a list of [coeff, monomial] terms\n"
+    assert run(capsys, "describe", str(path)) == (2, "", message)
+
+
 @pytest.mark.parametrize("command", ["describe", "homology"])
 def test_empty_list_is_not_an_algebra_element(tmp_path, capsys, command):
     # only a polynomial may be written []; an algebra element needs its coordinates

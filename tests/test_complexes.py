@@ -12,6 +12,7 @@ from torcheck.algebras import (
     free_module,
     monomial_square_zero_algebra,
 )
+from torcheck.cli import parse_module_doc, parse_resolution_doc
 from torcheck.complexes import (
     AlgebraMatrix,
     ChainComplex,
@@ -21,13 +22,10 @@ from torcheck.complexes import (
     substitute_matrix,
     tor_from_resolution,
 )
-from torcheck.cli import parse_module_doc, parse_resolution_doc
 from torcheck.linalg import GF, QQ, Matrix, ShapeError, same_span
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
 TESTS = Path(__file__).parent
-
-
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
 
 
