@@ -99,14 +99,14 @@ class ArtinAlgebra:
         return AlgebraElement(self, coords)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [self.field.zero()] * self.dim)
+        return AlgebraElement(self, [0] * self.dim)
 
     def one(self) -> "AlgebraElement":
         return self.basis_element(0)
 
     def basis_element(self, i) -> "AlgebraElement":
-        coords = [self.field.zero()] * self.dim
-        coords[i] = self.field.one()
+        coords = [0] * self.dim
+        coords[i] = 1
         return AlgebraElement(self, coords)
 
     def generator(self, name) -> "AlgebraElement":
@@ -116,8 +116,7 @@ class ArtinAlgebra:
         """Coordinates of the product of the elements with coordinate vectors
         ``a`` and ``b``, whose values are already in the field.  Zero
         coordinates are skipped, and each output coordinate is reduced."""
-        f = self.field
-        acc = [f.zero()] * self.dim
+        acc = [0] * self.dim
         for i, x in enumerate(a):
             if not x:
                 continue
@@ -129,7 +128,7 @@ class ArtinAlgebra:
                 for k, c in enumerate(vector):
                     if c:
                         acc[k] += xy * c
-        return tuple(map(f.reduce, acc))
+        return tuple(map(self.field.reduce, acc))
 
     def __eq__(self, other):
         if self is other:
@@ -232,9 +231,8 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
         raise ValueError("at least one generator is required")
     if len(set(names)) != n:
         raise ValueError("generator names must be distinct and differ from '1'")
-    zero, one = field.zero(), field.one()
-    unit = [tuple(one if k == j else zero for k in range(n)) for j in range(n)]
-    null = (zero,) * n
+    unit = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    null = (0,) * n
     mult = tuple(
         tuple(unit[j] if i == 0 else unit[i] if j == 0 else null for j in range(n))
         for i in range(n)
@@ -246,14 +244,16 @@ def block_operator(field, actions, grid, ncols, dim) -> Matrix:
     """The K-matrix of a ``p x ncols`` grid of algebra coordinate vectors
     acting through ``actions``, one ``dim x dim`` operator per basis element.
     Row ``i`` of ``grid`` lists its cells as ``(k, coords)`` pairs, and a
-    cell it does not list is zero, so a sparse grid costs only its cells.
+    cell it does not list is zero, so a sparse grid costs only its cells; a
+    listed cell whose coordinates are all zero is skipped here, the one zero
+    test of a cell.
     Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is the sum of
     ``c * actions[l]`` over the coordinates ``c`` of cell ``k`` of row ``i``.
     One pass skips zero coordinates and zero operator entries and reduces
     each block where it is stored."""
     reduce = field.reduce
     terms = {}  # basis index -> non-zero (column, entry) pairs of each operator row
-    rows = [[field.zero()] * (len(grid) * dim) for _ in range(ncols * dim)]
+    rows = [[0] * (len(grid) * dim) for _ in range(ncols * dim)]
     for i, grid_row in enumerate(grid):
         left = i * dim
         for k, coords in grid_row:

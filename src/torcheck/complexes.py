@@ -85,16 +85,14 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra.  Only the non-zero
-    entries are substituted; every zero entry is one zero element, built at
-    the first of them and shared, since an :class:`AlgebraElement` is
-    immutable."""
-    zero = None
-    rows = []
-    for row in m.entries:
-        if zero is None and not all(row):
-            zero = algebra.zero()
-        rows.append([p.substitute(assignment, algebra) if p else zero for p in row])
+    """Entrywise polynomial substitution into the algebra, which
+    :meth:`~torcheck.poly.WeightedPoly.substitute` checks to be over the
+    polynomials' field (:class:`~torcheck.linalg.FieldMismatchError`
+    otherwise).  Only the non-zero entries are substituted; every zero entry
+    is one zero element, built once per matrix and shared, since an
+    :class:`AlgebraElement` is immutable."""
+    zero = algebra.zero()
+    rows = [[p.substitute(assignment, algebra) if p else zero for p in row] for row in m.entries]
     return AlgebraMatrix._raw(algebra, rows, m.ncols)
 
 
@@ -136,10 +134,11 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
     """K-matrix of the map N^p -> N^q induced by a p x q algebra matrix under
     the row-vector convention, of shape ``q*dim x p*dim``.  It is the q x p
     grid of action operators that :func:`block_operator` writes, with block
-    (k, i) the action of a[i][k]; no module N^p or N^q is built."""
+    (k, i) the action of a[i][k]; no module N^p or N^q is built.  The grid
+    lists every cell, and :func:`block_operator` skips the zero ones."""
     if a.algebra != module.algebra:
         raise ValueError("matrix and module over different algebras")
-    grid = [[(k, e.coords) for k, e in enumerate(row) if e] for row in a.entries]
+    grid = [[(k, e.coords) for k, e in enumerate(row)] for row in a.entries]
     return block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
 
 
@@ -215,6 +214,8 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
     hold at least one.  Each is specialized once through ``assignment`` into
     the module's algebra, induced on powers of ``module``, and the homology of
     the resulting complex is returned with degree 0 at the cokernel end.
+    The resolution and the module must have one field: substitution raises
+    :class:`~torcheck.linalg.FieldMismatchError` otherwise.
 
     Consecutive specialized matrices must multiply to zero in the algebra
     (substitution is a ring homomorphism, so this is the symbolic composite

@@ -9,7 +9,9 @@ a ``fractions.Fraction`` otherwise; prime-field entries are integer residues
 in ``[0, p)``.  No floating point anywhere, and so no ``/``: an exact quotient
 is ``Fraction(a, b)``.
 
-Field values use Python's own ``+ - *`` and truth value.  A value from
+Field values are plain numbers with Python's own ``+ - *`` and truth value,
+and 0 and 1 are the ints 0 and 1 in every field; a field object is consulted
+only to check, reduce, invert, parse and print.  A value from
 outside enters through the field's checked ``normalize``; a sum or product
 of values already in the field goes through its ``reduce`` (an integral
 ``Fraction`` to its numerator over Q, ``% p`` over F_p) before it is stored,
@@ -73,12 +75,6 @@ class RationalField:
             return x.numerator
         return x
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -126,12 +122,6 @@ class PrimeField:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
         return int(x) % self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def reduce(self, x):
         return x % self.p
@@ -255,8 +245,7 @@ class Matrix(DenseMatrix):
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls._raw(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls._raw(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, field, cols, nrows=None):
@@ -288,7 +277,7 @@ class Matrix(DenseMatrix):
     def __matmul__(self, other):
         _check_same_field(self, other)
         reduce = self.field.reduce
-        rows = dense_product(self, other, self.field.zero())
+        rows = dense_product(self, other, 0)
         return Matrix._raw(self.field, [[reduce(x) for x in row] for row in rows], other.ncols)
 
     # -- elimination --------------------------------------------------
@@ -358,7 +347,7 @@ class Matrix(DenseMatrix):
                 out.append([x * inv % f.p for x in row])
             else:
                 out.append([f.reduce(Fraction(x, row[pc])) for x in row])
-        out += [[f.zero()] * self.ncols] * (self.nrows - len(pivots))
+        out += [[0] * self.ncols] * (self.nrows - len(pivots))
         return Matrix._raw(f, out, self.ncols), pivots
 
     def rank(self) -> int:
@@ -371,10 +360,9 @@ class Matrix(DenseMatrix):
         f = self.field
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
-        zero = f.zero()
-        rows = [[zero] * len(free) for _ in range(self.ncols)]
+        rows = [[0] * len(free) for _ in range(self.ncols)]
         for k, j in enumerate(free):
-            rows[j][k] = f.one()
+            rows[j][k] = 1
         for row, pc in zip(red.entries, pivots):
             rows[pc] = [f.reduce(-row[j]) for j in free]
         return Matrix._raw(f, rows, len(free))

@@ -14,8 +14,10 @@ and reduces each sum once.  A :class:`PolyMatrix` is a
 checks that each entry from outside uses the table, and products, generic
 matrices and parsed matrices are built by the trusted ``_raw``.
 
-Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` works on
-coordinate vectors through the algebra's one coordinate product, takes each
+Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` needs one
+field for both: it raises :class:`~torcheck.linalg.FieldMismatchError`
+otherwise, once per call, and then uses each coefficient as stored.  It works
+on coordinate vectors through the algebra's one coordinate product, takes each
 power of an image once and builds one element per call.  Minors are expanded
 along their first row: the signed products of the cofactors go to one
 :func:`sum_terms` call, so a minor builds no intermediate polynomial, and the
@@ -28,7 +30,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .algebras import AlgebraElement
-from .linalg import DenseMatrix, dense_product
+from .linalg import DenseMatrix, FieldMismatchError, dense_product
 
 
 class VarTable:
@@ -148,13 +150,14 @@ class WeightedPoly:
     @classmethod
     def variable(cls, table, name):
         idx = table.index_of(name) if isinstance(name, str) else name
-        return cls(table, {((idx, 1),): table.field.one()})
+        return cls(table, {((idx, 1),): 1})
 
     @classmethod
-    def monomial(cls, table, exponents, coeff=1):
-        """``exponents`` maps variable index (or name) to a positive exponent."""
-        coeff = table.field.normalize(coeff)
-        if not coeff:
+    def monomial(cls, table, exponents, c=1):
+        """``c`` times the monomial: ``exponents`` maps variable index (or
+        name) to a positive exponent."""
+        c = table.field.normalize(c)
+        if not c:
             return cls(table, {})
         pairs = []
         for var, exp in exponents.items():
@@ -162,7 +165,7 @@ class WeightedPoly:
             if not isinstance(exp, int) or exp < 1:
                 raise ValueError("exponent must be a positive integer; got %r" % (exp,))
             pairs.append((idx, exp))
-        return cls(table, {tuple(sorted(pairs)): coeff})
+        return cls(table, {tuple(sorted(pairs)): c})
 
     # -- ring operations ----------------------------------------------
 
@@ -209,7 +212,7 @@ class WeightedPoly:
         return bool(self.terms)
 
     def constant_term(self):
-        return self.terms.get((), self.table.field.zero())
+        return self.terms.get((), 0)
 
     def variables_used(self):
         return {idx for key in self.terms for idx, _ in key}
@@ -240,9 +243,11 @@ class WeightedPoly:
 
         ``assignment`` maps variable names to elements of ``algebra``.  Being
         defined on generators, the evaluation is a ring homomorphism by
-        construction.  Raises ``ValueError`` if a variable occurring in the
-        polynomial has no image, or an image that is not an element of
-        ``algebra``.
+        construction.  Raises :class:`~torcheck.linalg.FieldMismatchError`
+        unless the polynomial and ``algebra`` have one field, checked once;
+        the coefficients are then used as stored.  Raises ``ValueError`` if a
+        variable occurring in the polynomial has no image, or an image that
+        is not an element of ``algebra``.
 
         The arithmetic is on coordinate vectors, and one element is built per
         call.  Each variable's image is looked up once, and each power of an
@@ -251,11 +256,13 @@ class WeightedPoly:
         power at a time; the chain stops once the running product vanishes.
         The monomial's coefficient times its value is added coordinatewise.
         """
-        if not self.terms:
-            return algebra.zero()
-        f = algebra.field
+        if self.table.field != algebra.field:
+            raise FieldMismatchError(
+                "polynomial over %r substituted into an algebra over %r"
+                % (self.table.field, algebra.field)
+            )
         powers = {}  # (variable index, exponent) -> coordinates of that power of its image
-        acc = [f.zero()] * algebra.dim
+        acc = [0] * algebra.dim
         for key, coeff in self.terms.items():
             # every image of the monomial is resolved before the products, so
             # a missing variable raises even after a factor that vanishes
@@ -271,13 +278,12 @@ class WeightedPoly:
                 if not any(value):
                     break
             if value is None:
-                value = (f.one(),) + (f.zero(),) * (algebra.dim - 1)
+                value = (1,) + (0,) * (algebra.dim - 1)
             if any(value):
-                c = f.normalize(coeff)
                 for k, v in enumerate(value):
                     if v:
-                        acc[k] += c * v
-        return AlgebraElement(algebra, map(f.reduce, acc))
+                        acc[k] += coeff * v
+        return AlgebraElement(algebra, map(algebra.field.reduce, acc))
 
     def __repr__(self):
         if not self.terms:

@@ -22,8 +22,9 @@ from torcheck.complexes import (
     substitute_matrix,
     tor_from_resolution,
 )
-from torcheck.linalg import GF, QQ, Matrix, ShapeError, same_span
+from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, ShapeError, same_span
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+from torcheck.rigidity import build_generic_data, build_specialization
 
 TESTS = Path(__file__).parent
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
@@ -351,14 +352,22 @@ def test_tor_multiplies_no_k_matrices(scene, monkeypatch):
     assert products == []
 
 
-def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
-    # the residue-field resolution has 2,730 entries, of which 126 are non-zero
-    def load(name):
-        return json.loads((TESTS / name).read_text())
+def load(name):
+    return json.loads((TESTS / name).read_text())
 
+
+def residue_scene():
+    """The benchmark's residue-field resolution over F_101 of length 6, its
+    assignment, and the module it is tensored with."""
     _, _, matrices, coords = parse_resolution_doc(load("fixtures/bench_residue_resolution.json"))
     _, algebra, module = parse_module_doc(load("fixtures/bench_residue_module.json"))
     assignment = {name: AlgebraElement(algebra, c) for name, c in coords.items()}
+    return matrices, assignment, module
+
+
+def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
+    # the residue-field resolution has 2,730 entries, of which 126 are non-zero
+    matrices, assignment, module = residue_scene()
     calls = []
     substitute = WeightedPoly.substitute
     monkeypatch.setattr(
@@ -370,6 +379,27 @@ def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
     assert all(calls)
     tor = {str(i): h.length for i, h in enumerate(report.degrees)}
     assert tor == load("golden/tor-residue-fp101.json")["tor"]
+
+
+def test_induced_map_tests_no_element_for_zero(monkeypatch):
+    # every cell is listed, and block_operator's test of its coordinates is
+    # the one zero test of a cell
+    matrices, assignment, module = residue_scene()
+    specialized = [substitute_matrix(m, assignment, module.algebra) for m in matrices]
+    calls = []
+    monkeypatch.setattr(AlgebraElement, "__bool__", lambda e: calls.append(e) or any(e.coords))
+    maps = [induced_map(a, module) for a in specialized]
+    assert [k.ncols for k in maps] == [a.nrows * module.dim for a in specialized]
+    assert calls == []
+
+
+def test_tor_rejects_a_resolution_over_another_field():
+    # the one field check of substitution: an F_101 resolution against a
+    # module over Q
+    data = build_generic_data(GF(101))
+    spec = build_specialization(QQ)
+    with pytest.raises(FieldMismatchError):
+        tor_from_resolution([data.x, data.y], spec.assignment, spec.module)
 
 
 def test_tor_field_independent():

@@ -87,7 +87,7 @@ def test_rational_values_stay_canonical(xs):
     a, b = QQ.normalize(xs[0]), QQ.normalize(xs[1])
     assert (a, b) == (xs[0], xs[1])
     parsed = QQ.parse("%d/%d" % (xs[0].numerator, xs[0].denominator))
-    values = [a, b, parsed, QQ.parse(QQ.format(a)), QQ.normalize(str(xs[0])), QQ.zero(), QQ.one()]
+    values = [a, b, parsed, QQ.parse(QQ.format(a)), QQ.normalize(str(xs[0])), 0, 1]
     values += [QQ.reduce(a + b), QQ.reduce(a - b), QQ.reduce(a * b), QQ.reduce(-a)]
     if a:
         assert QQ.inv(a) * a == 1
@@ -506,7 +506,7 @@ def test_elimination_matches_a_textbook_gauss_jordan(a):
     assert a.rank() == len(pivots)
     assert a.image_basis() == Matrix.from_cols(f, [a.column(j) for j in pivots], nrows=a.nrows)
     free = [j for j in range(a.ncols) if j not in pivots]
-    kernel = [[f.one() if i == j else f.zero() for j in free] for i in range(a.ncols)]
+    kernel = [[1 if i == j else 0 for j in free] for i in range(a.ncols)]
     for row, pc in zip(rows, pivots):
         kernel[pc] = [f.reduce(-row[j]) for j in free]
     assert a.kernel_basis() == Matrix(f, kernel, ncols=len(free))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from torcheck.algebras import ArtinAlgebra, monomial_square_zero_algebra
 from torcheck.cli import MAX_EXPONENT
-from torcheck.linalg import GF, QQ
+from torcheck.linalg import GF, QQ, FieldMismatchError
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
 
@@ -580,6 +580,22 @@ def test_substitute_resolves_every_image_before_stopping(field):
     with pytest.raises(ValueError, match="image of variable 'c' is not an element"):
         abc.substitute({"a": s, "b": s, "c": truncated_line(field).one()}, S)
     assert not abc.substitute({"a": s, "b": s, "c": s}, S)
+
+
+def test_substitute_rejects_an_algebra_over_another_field():
+    # one check per call, so a stored coefficient never meets a second
+    # normalize: -a over F_101 would become 100*s over Q, and 1/5 over Q
+    # has no value over F_5
+    fp_table, q_table = VarTable(GF(101)), VarTable(QQ)
+    fp_table.add_var("a", 1)
+    q_table.add_var("a", 1)
+    S, S5 = square_zero_st(QQ), square_zero_st(GF(5))
+    with pytest.raises(FieldMismatchError, match=r"over GF\(101\) .* over QQ"):
+        (-WeightedPoly.variable(fp_table, "a")).substitute({"a": S.generator("s")}, S)
+    with pytest.raises(FieldMismatchError):
+        WeightedPoly.zero(fp_table).substitute({}, S)
+    with pytest.raises(FieldMismatchError, match=r"over QQ .* over GF\(5\)"):
+        mono(q_table, {"a": 1}, Fraction(1, 5)).substitute({"a": S5.generator("s")}, S5)
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])

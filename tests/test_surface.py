@@ -53,6 +53,25 @@ def test_not_a_complex_error_is_built_in_one_function():
     assert callers == ["complexes.py: _check_composite"]
 
 
+def test_values_are_normalized_only_where_they_come_in():
+    # a stored coefficient is already in its field and is used as it is; 0
+    # and 1 are the ints 0 and 1 in every field, so a field has no zero()/one()
+    callers = [
+        "%s: %s" % (path.name, owner) for path in SOURCES for owner in calls_of(path, "normalize")
+    ]
+    assert callers == [
+        "algebras.py: __init__",
+        "algebras.py: element",
+        "algebras.py: __mul__",
+        "linalg.py: _admit",
+        "poly.py: constant",
+        "poly.py: monomial",
+        "poly.py: __mul__",
+    ]
+    for field in (torcheck.QQ, torcheck.GF(101)):
+        assert not hasattr(field, "zero") and not hasattr(field, "one")
+
+
 def test_no_module_uses_true_division():
     # a rational with denominator 1 is an int, and int / int is a float;
     # exact quotients are Fraction(a, b) or a floor division that is known exact
