@@ -101,9 +101,6 @@ class ArtinAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [0] * self.dim)
 
-    def one(self) -> "AlgebraElement":
-        return self.basis_element(0)
-
     def basis_element(self, i) -> "AlgebraElement":
         coords = [0] * self.dim
         coords[i] = 1

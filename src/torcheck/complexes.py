@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import DenseMatrix, Matrix, ShapeError, dense_product
+from .linalg import DenseMatrix, FieldMismatchError, Matrix, ShapeError, dense_product
 
 
 class NotAComplexError(ValueError):
@@ -85,12 +85,17 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra, which
-    :meth:`~torcheck.poly.WeightedPoly.substitute` checks to be over the
-    polynomials' field (:class:`~torcheck.linalg.FieldMismatchError`
-    otherwise).  Only the non-zero entries are substituted; every zero entry
-    is one zero element, built once per matrix and shared, since an
-    :class:`AlgebraElement` is immutable."""
+    """Entrywise polynomial substitution into the algebra.  Raises
+    :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
+    algebra have one field, checked once per matrix, so a matrix with no
+    non-zero entry is checked too.  Only the non-zero entries are
+    substituted; every zero entry is one zero element, built once per matrix
+    and shared, since an :class:`AlgebraElement` is immutable."""
+    if m.table.field != algebra.field:
+        raise FieldMismatchError(
+            "polynomial over %r substituted into an algebra over %r"
+            % (m.table.field, algebra.field)
+        )
     zero = algebra.zero()
     rows = [[p.substitute(assignment, algebra) if p else zero for p in row] for row in m.entries]
     return AlgebraMatrix._raw(algebra, rows, m.ncols)

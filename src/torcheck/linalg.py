@@ -200,14 +200,6 @@ class DenseMatrix:
     def entry(self, i, j):
         return self.entries[i][j]
 
-    def column(self, j):
-        if not 0 <= j < self.ncols:
-            raise ShapeError("column index %d out of range" % j)
-        return tuple(row[j] for row in self.entries)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def first_nonzero(self):
         """``(row, col)`` of the first non-zero entry in row-major order, or ``None``."""
         for r, row in enumerate(self.entries):

@@ -210,41 +210,39 @@ def build_generic_data(field) -> GenericComplexData:
 
 
 def displayed_matrices(algebra):
-    """The specialized images of X and Y: Xbar = [[s,0,t,0],[0,s,0,t]] and
-    Ybar = the 4x8 block matrix [s.I | t.I]."""
+    """The specialized images of X and Y, both of the form [s.I_k | t.I_k]:
+    Xbar = [s.I2 | t.I2] (2x4) and Ybar = [s.I4 | t.I4] (4x8).  Every u goes
+    to 0; other images come through ``spec._replace(assignment=...)``."""
     s, t, zero = algebra.generator("s"), algebra.generator("t"), algebra.zero()
-    xbar = AlgebraMatrix._raw(
-        algebra,
-        [[s if j == i else (t if j == i + 2 else zero) for j in range(4)] for i in range(2)],
-        4,
-    )
-    ybar = AlgebraMatrix._raw(
-        algebra,
-        [[s if j == i else (t if j == i + 4 else zero) for j in range(8)] for i in range(4)],
-        8,
-    )
-    return xbar, ybar
+
+    def block(k):
+        rows = [
+            [s if j == i else (t if j == i + k else zero) for j in range(2 * k)] for i in range(k)
+        ]
+        return AlgebraMatrix._raw(algebra, rows, 2 * k)
+
+    return block(2), block(4)
 
 
-def build_specialization(field, u_image=None) -> SpecializationData:
+def build_specialization(field) -> SpecializationData:
     """S, the displayed matrices, the generator assignment, and N.
 
-    ``u_image`` optionally maps the algebra to the common image of every
-    u-variable (default: zero).  Any radical element keeps the assignment a
-    homomorphism, which the battery re-checks rather than assuming.
+    The assignment sends each x and y to its entry of Xbar or Ybar and every
+    u to 0, in that key order.  Other images, such as radical u-images, come
+    through ``spec._replace(assignment=...)``; the battery re-checks that the
+    assignment is a homomorphism rather than assuming it.
     """
     S = monomial_square_zero_algebra(field, ["s", "t"])
     xbar, ybar = displayed_matrices(S)
-    u_value = S.zero() if u_image is None else u_image(S)
-    assignment = {}
-    for i in range(2):
-        for j in range(4):
-            assignment["x%d%d" % (i + 1, j + 1)] = xbar.entry(i, j)
-    for i in range(4):
-        for j in range(8):
-            assignment["y%d%d" % (i + 1, j + 1)] = ybar.entry(i, j)
-    for c1, c2 in combinations(range(1, 9), 2):
-        assignment["u%d%d" % (c1, c2)] = u_value
+    assignment = {
+        "%s%d%d" % (prefix, i, j): e
+        for prefix, m in (("x", xbar), ("y", ybar))
+        for i, row in enumerate(m.entries, 1)
+        for j, e in enumerate(row, 1)
+    }
+    zero = S.zero()
+    for c1, c2 in combinations(range(1, ybar.ncols + 1), 2):
+        assignment["u%d%d" % (c1, c2)] = zero
     F = free_module(S, 2)
     # relations (t,0), (0,s), (s,t) in coordinates over the basis (1,s,t|1,s,t)
     N, _ = F.quotient_module([(0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1)])

@@ -123,17 +123,18 @@ def test_criterion_5_homomorphism():
     assert result.passed
     assert result.details == {"zero_count": 268, "total": 268}
     rng = random.Random(8)
-    u_images = [
+    radical_images = [
         lambda S: S.generator("s"),
         lambda S: S.generator("t"),
         lambda S: S.generator("s") + S.generator("t"),
     ]
     for _ in range(3):
         a, b = rng.randrange(101), rng.randrange(101)
-        u_images.append(lambda S, a=a, b=b: a * S.generator("s") + b * S.generator("t"))
-    for u_image in u_images:
-        spec = build_specialization(FIELD, u_image=u_image)
-        assert check_homomorphism(data, spec).passed
+        radical_images.append(lambda S, a=a, b=b: a * S.generator("s") + b * S.generator("t"))
+    for image in radical_images:
+        u = image(default.algebra)
+        assignment = {k: u if k[0] == "u" else v for k, v in default.assignment.items()}
+        assert check_homomorphism(data, default._replace(assignment=assignment)).passed
 
 
 @criterion(6, "every entry of Xbar in rad(S); every entry of X has zero constant term")
@@ -197,7 +198,7 @@ def test_criterion_9_property_suites(capsys):
 
     spec = build_specialization(FIELD)
     N = spec.module
-    elems = [S.zero(), S.one(), S.generator("s"), S.generator("t")]
+    elems = [S.zero(), S.basis_element(0), S.generator("s"), S.generator("t")]
     for _ in range(8):
         a = AlgebraMatrix(S, [[rng.choice(elems) for _ in range(3)] for _ in range(2)])
         b = AlgebraMatrix(S, [[rng.choice(elems) for _ in range(2)] for _ in range(3)])

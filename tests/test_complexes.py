@@ -147,7 +147,7 @@ def test_block_operator_places_block_k_i_from_grid_entry_i_k(field):
 def test_induced_map_writes_the_coordinate_grid(field):
     rng = random.Random(43)
     for A, M in _test_modules(field):
-        elems = [A.zero(), A.one()] + [A.basis_element(i) * 3 for i in range(1, A.dim)]
+        elems = [A.zero(), A.basis_element(0)] + [A.basis_element(i) * 3 for i in range(1, A.dim)]
         for p, q in ((2, 3), (3, 2), (0, 2), (2, 0)):
             rows = [[rng.choice(elems) + rng.choice(elems) for _ in range(q)] for _ in range(p)]
             a = AlgebraMatrix(A, rows, q)
@@ -183,7 +183,7 @@ def test_free_module_acts_by_products_of_basis_elements(field):
                         product = A.basis_element(i) * A.basis_element(j)
                         want = [0] * (rank * n)
                         want[b * n : (b + 1) * n] = product.coords
-                        assert list(act.column(b * n + j)) == want
+                        assert [row[b * n + j] for row in act.entries] == want
         with pytest.raises(ValueError, match="non-negative"):
             free_module(A, -1)
 
@@ -206,18 +206,18 @@ def test_induced_map_sends_pairs_through_the_displayed_matrix(scene):
     act_s, act_t = (
         block_operator(QQ, N.actions, [[(0, S.generator(g).coords)]], 1, N.dim) for g in "st"
     )
+    out, s_cols, t_cols = (list(zip(*m.entries)) for m in (f, act_s, act_t))
     for n1 in range(3):
-        out = f.column(n1)
         # (n1, 0) |-> (s.n1, 0, t.n1, 0)
-        expected = list(act_s.column(n1)) + [0] * 3 + list(act_t.column(n1)) + [0] * 3
-        assert list(out) == [QQ.normalize(c) for c in expected]
+        expected = list(s_cols[n1]) + [0] * 3 + list(t_cols[n1]) + [0] * 3
+        assert list(out[n1]) == [QQ.normalize(c) for c in expected]
 
 
 def test_induced_zero_and_identity(scene):
     S, N, _, _, _, _, _, _ = scene
     z = induced_map(AlgebraMatrix(S, [[S.zero()] * 3] * 2), N)
     assert z.first_nonzero() is None
-    one = induced_map(AlgebraMatrix(S, [[S.one()]]), N)
+    one = induced_map(AlgebraMatrix(S, [[S.basis_element(0)]]), N)
     assert one == Matrix.identity(QQ, 3)
 
 
@@ -228,7 +228,7 @@ def test_zero_row_matrix_keeps_its_width(scene):
     f = induced_map(a, N)
     assert (f.ncols, f.nrows) == (0, 6)
     with pytest.raises(ShapeError):
-        AlgebraMatrix(S, [[S.one()]], 2)
+        AlgebraMatrix(S, [[S.basis_element(0)]], 2)
 
 
 # -- composition ---------------------------------------------------------------
@@ -244,7 +244,7 @@ def test_composite_of_specialized_differentials_vanishes(scene):
 def test_induced_map_functorial():
     S, N, _, _, _, _, _, _ = build_scene(QQ)
     rng = random.Random(7)
-    elems = [S.zero(), S.one(), S.generator("s"), S.generator("t")]
+    elems = [S.zero(), S.basis_element(0), S.generator("s"), S.generator("t")]
 
     def rand_mat(r, c):
         return AlgebraMatrix(
@@ -400,6 +400,12 @@ def test_tor_rejects_a_resolution_over_another_field():
     spec = build_specialization(QQ)
     with pytest.raises(FieldMismatchError):
         tor_from_resolution([data.x, data.y], spec.assignment, spec.module)
+    # the check is made once per matrix, so a matrix with no non-zero entry,
+    # which substitutes no polynomial, is checked as well
+    table = VarTable(GF(101))
+    zeros = PolyMatrix(table, [[WeightedPoly.zero(table)] * 2])
+    with pytest.raises(FieldMismatchError, match="over GF\\(101\\).*over QQ"):
+        tor_from_resolution([zeros], spec.assignment, spec.module)
 
 
 def test_tor_field_independent():
@@ -469,7 +475,7 @@ def test_tor_checks_composites_in_the_algebra_not_on_the_module():
     # N = S/rad(S), so a check made only on N would pass this non-complex
     S = monomial_square_zero_algebra(QQ, ["s", "t"])
     F = free_module(S, 1)
-    N, _ = F.quotient_module(F.radical_submodule().columns())
+    N, _ = F.quotient_module(zip(*F.radical_submodule().entries))
     table = VarTable(QQ)
     table.add_var("s", 1)
     from torcheck.poly import WeightedPoly
@@ -528,7 +534,7 @@ def test_substitute_matrix_is_entrywise_substitution(field):
     table = VarTable(field)
     for name in ("a", "b"):
         table.add_var(name, 1)
-    assignment = {"a": S.one() + S.generator("s") * 2, "b": S.generator("t")}
+    assignment = {"a": S.basis_element(0) + S.generator("s") * 2, "b": S.generator("t")}
     a, b = WeightedPoly.variable(table, "a"), WeightedPoly.variable(table, "b")
     zero, three = WeightedPoly.zero(table), WeightedPoly.constant(table, 3)
     rows = [[zero, a * b + three, zero], [a * a, WeightedPoly.zero(table), b - b]]
@@ -549,7 +555,7 @@ def test_substitution_commutes_with_sparse_products(field):
     table = VarTable(field)
     for name in ("a", "b", "c"):
         table.add_var(name, 1)
-    assignment = {"a": S.one() + s * 2, "b": t, "c": s * 3 - t}
+    assignment = {"a": S.basis_element(0) + s * 2, "b": t, "c": s * 3 - t}
 
     def rand_entry():
         if rng.random() < 0.5:

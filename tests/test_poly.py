@@ -391,7 +391,7 @@ def test_substitute_constant(square_zero):
     S, _, _ = square_zero
     table = VarTable(QQ)
     c = WeightedPoly.constant(table, 7)
-    assert c.substitute({}, S) == 7 * S.one()
+    assert c.substitute({}, S) == 7 * S.basis_element(0)
 
 
 def test_substitute_requires_images(square_zero):
@@ -457,7 +457,7 @@ def test_radical_assignment_kills_two_factor_terms(square_zero):
 def test_substitute_powers_of_a_unit(field):
     # (1 + s)^n = 1 + n*s, as s^2 = 0
     S = monomial_square_zero_algebra(field, ["s", "t"])
-    one, s = S.one(), S.generator("s")
+    one, s = S.basis_element(0), S.generator("s")
     table = VarTable(field)
     table.add_var("x", 1)
     for n in (2, 3):
@@ -482,7 +482,7 @@ def substitute_by_elements(p, assignment, algebra):
     taken factor by factor, and the results are summed as elements."""
     result = algebra.zero()
     for key, coeff in p.terms.items():
-        value = algebra.one()
+        value = algebra.basis_element(0)
         for idx, exp in key:
             name = p.table.name_of(idx)
             if name not in assignment:
@@ -533,7 +533,7 @@ def substitution_cases(draw):
             other_field = draw(st.sampled_from([f for f in SUB_FIELDS if f != field]))
             other_make = truncated_line if make is square_zero_st else square_zero_st
             other = draw(st.sampled_from((make(other_field), other_make(field))))
-            assignment[name] = other.one()
+            assignment[name] = other.basis_element(0)
     return p, assignment, algebra, case
 
 
@@ -578,7 +578,7 @@ def test_substitute_resolves_every_image_before_stopping(field):
     with pytest.raises(ValueError, match="no image assigned for variable 'b'"):
         abc.substitute({"a": S.zero(), "c": s}, S)
     with pytest.raises(ValueError, match="image of variable 'c' is not an element"):
-        abc.substitute({"a": s, "b": s, "c": truncated_line(field).one()}, S)
+        abc.substitute({"a": s, "b": s, "c": truncated_line(field).basis_element(0)}, S)
     assert not abc.substitute({"a": s, "b": s, "c": s}, S)
 
 
@@ -611,7 +611,7 @@ def test_substitute_takes_each_power_once(monkeypatch, field):
     p = WeightedPoly.zero(table)
     for i in range(32):
         p = p + mono(table, {"x": MAX_EXPONENT, "y%d" % i: 1})
-    assignment = {"x": 2 * S.one() + S.generator("s0")}
+    assignment = {"x": 2 * S.basis_element(0) + S.generator("s0")}
     assignment.update(("y%d" % i, S.generator(g)) for i, g in enumerate(gens))
     products = []
     product = ArtinAlgebra.coordinate_product

@@ -24,6 +24,7 @@ from torcheck.rigidity import (
     RELATION_CLASSES,
     relation_label,
     run_tor_checks,
+    SpecializationData,
 )
 
 FIELD = GF(101)
@@ -74,6 +75,14 @@ def test_displayed_specialization_matrices(spec):
     assert spec.xbar.entries == ((s, zero, t, zero), (zero, s, zero, t))
     assert spec.ybar.entries[2] == (zero, zero, s, zero, zero, zero, t, zero)
     assert check_specialization_matrices(spec).passed
+    # the x keys, then the y keys, then the u keys, each u sent to 0
+    x_and_y = ["x%d%d" % (i, j) for i in range(1, 3) for j in range(1, 5)]
+    x_and_y += ["y%d%d" % (i, j) for i in range(1, 5) for j in range(1, 9)]
+    u = ["u%d%d" % pair for pair in combinations(range(1, 9), 2)]
+    assert list(spec.assignment) == x_and_y + u
+    entries = [e for m in (spec.xbar, spec.ybar) for row in m.entries for e in row]
+    assert [spec.assignment[k] for k in x_and_y] == entries
+    assert all(spec.assignment[k] == zero for k in u)
 
 
 def test_module_lengths(spec):
@@ -136,20 +145,28 @@ def test_homomorphism_all_relations_vanish(data, spec):
 
 
 def test_homomorphism_fails_with_unit_image(data, spec):
-    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.one()})
+    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.basis_element(0)})
     result = check_homomorphism(data, corrupted)
     assert not result.passed
     assert result.details["zero_count"] < 268
     assert "offender" in result.details
 
 
-def test_homomorphism_insensitive_to_u_images(data):
-    for u_image in (
+def with_u_sent_to(spec, image):
+    """``spec`` with every u sent to ``image(spec.algebra)`` through
+    ``_replace``; the x and y images and the key order are kept."""
+    u = image(spec.algebra)
+    assignment = {k: u if k[0] == "u" else v for k, v in spec.assignment.items()}
+    return spec._replace(assignment=assignment)
+
+
+def test_homomorphism_insensitive_to_radical_images_of_u(data, spec):
+    for image in (
         lambda S: S.generator("s"),
         lambda S: S.generator("t"),
         lambda S: S.generator("s") + 5 * S.generator("t"),
     ):
-        shifted = build_specialization(FIELD, u_image=u_image)
+        shifted = with_u_sent_to(spec, image)
         assert check_homomorphism(data, shifted).passed
 
 
@@ -192,7 +209,7 @@ def algebra_determinant(algebra, grid):
     """Determinant of a square grid of algebra elements, computed in the
     algebra by expansion along the first row."""
     if not grid:
-        return algebra.one()
+        return algebra.basis_element(0)
     acc = algebra.zero()
     for j, e in enumerate(grid[0]):
         term = e * algebra_determinant(algebra, [row[:j] + row[j + 1 :] for row in grid[1:]])
@@ -239,7 +256,7 @@ def assert_relations_substitute_to_their_specialized_values(data, algebra, assig
 
 
 @pytest.mark.parametrize(
-    "field, u_image",
+    "field, image",
     [
         (GF(101), None),
         (QQ, None),
@@ -248,9 +265,11 @@ def assert_relations_substitute_to_their_specialized_values(data, algebra, assig
     ],
     ids=["fp101", "q", "fp101-radical-u", "q-radical-u"],
 )
-def test_symbolic_relations_equal_their_specialized_values(field, u_image):
+def test_symbolic_relations_equal_their_specialized_values(field, image):
     data = build_generic_data(field)
-    spec = build_specialization(field, u_image=u_image)
+    spec = build_specialization(field)
+    if image is not None:
+        spec = with_u_sent_to(spec, image)
     xbar, ybar, _ = specialized_relations(spec.algebra, spec.assignment)
     assert (xbar, ybar) == (spec.xbar, spec.ybar)
     assert_relations_substitute_to_their_specialized_values(data, spec.algebra, spec.assignment)
@@ -272,6 +291,60 @@ def test_symbolic_relations_equal_their_values_under_a_dense_assignment(field):
     _, _, expected = specialized_relations(A, assignment)
     assert sum(1 for e in expected.values() if e) > 200
     assert_relations_substitute_to_their_specialized_values(data, A, assignment)
+
+
+# -- the rank half of the cited exactness input -------------------------------
+
+# (a, b) of each column (a, b, -a, -b) of Y at the point; the columns lie in
+# the kernel of X = [[1,0,1,0],[0,1,0,1]] and span a plane
+Y_COLUMNS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3), (3, 2), (5, -2))
+
+
+def rational_point(field):
+    """The algebra K (the field as a 1-dimensional algebra) and an assignment
+    into it: X = [[1,0,1,0],[0,1,0,1]], so that f = 1; Y with the columns of
+    ``Y_COLUMNS``; and each u sent to its g, the 2x2 minor of Y in its first
+    two rows."""
+    K = ArtinAlgebra(field, ["1"], [[[1]]])
+    values = {"x%d%d" % (i + 1, j + 1): int(j % 2 == i) for i in range(2) for j in range(4)}
+    for j, (a, b) in enumerate(Y_COLUMNS, 1):
+        values.update({"y1%d" % j: a, "y2%d" % j: b, "y3%d" % j: -a, "y4%d" % j: -b})
+    for (c1, (a1, b1)), (c2, (a2, b2)) in combinations(enumerate(Y_COLUMNS, 1), 2):
+        values["u%d%d" % (c1, c2)] = a1 * b2 - a2 * b1
+    return K, {name: K.element([v]) for name, v in values.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
+def test_rank_half_of_exactness_at_a_rational_point_of_spec_r(field):
+    """All 268 listed relations vanish at a K-point where rank X = rank Y = 2,
+    so I_2(X) and I_2(Y) are not zero, while I_3(Y) = 0 is listed: the rank
+    condition of Buchsbaum-Eisenbud's exactness criterion for
+    0 -> R^2 -> R^4 -> R^8.
+
+    The point lies on Spec R only if the listed relations generate the whole
+    defining ideal, which is cited, so the check holds only under that cited
+    completeness.  The depth half of the criterion (grade I_2(X) >= 2, grade
+    I_2(Y) >= 1; Buchsbaum-Eisenbud, "What makes a complex exact?", J. Algebra
+    25 (1973)) stays cited.
+    """
+    data = build_generic_data(field)
+    K, point = rational_point(field)
+    at_point = SpecializationData(K, point, xbar=None, ybar=None, module=None)
+    assert data.f.substitute(point, K) == K.basis_element(0)
+    assert check_homomorphism(data, at_point).details == {"zero_count": 268, "total": 268}
+    ranks = [
+        Matrix(field, [[p.substitute(point, K).coords[0] for p in row] for row in m.entries]).rank()
+        for m in (data.x, data.y)
+    ]
+    assert ranks == [2, 2]
+    # negative control: u12 -> g12 + 1 is off Spec R, and the first relation
+    # in report order that no longer vanishes is the one that holds u12
+    off = {**point, "u12": point["u12"] + K.basis_element(0)}
+    assert check_homomorphism(data, at_point._replace(assignment=off)).details == {
+        "zero_count": 267,
+        "total": 268,
+        "offender": "u_rel[1,2]",
+    }
 
 
 def test_full_report_builds_each_power_of_n_once(monkeypatch):
@@ -310,7 +383,7 @@ def test_pd_witness(data, spec):
 def test_pd_witness_fails_with_unit_entry(data, spec):
     S = spec.algebra
     rows = [list(r) for r in spec.xbar.entries]
-    rows[0][0] = S.one()
+    rows[0][0] = S.basis_element(0)
     corrupted = spec._replace(xbar=AlgebraMatrix(S, rows))
     result = check_pd_witness(data, corrupted)
     assert not result.passed
@@ -326,7 +399,7 @@ def test_pd_witness_names_the_first_unit_row_major(data, spec, units, offender):
     S = spec.algebra
     rows = [list(r) for r in spec.xbar.entries]
     for i, j in units:
-        rows[i][j] = S.one()
+        rows[i][j] = S.basis_element(0)
     result = check_pd_witness(data, spec._replace(xbar=AlgebraMatrix(S, rows)))
     assert not result.passed
     assert result.details == {
@@ -374,7 +447,7 @@ def test_tor_checks(data, spec):
 
 
 def test_tor_checks_report_non_complex(data, spec):
-    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.one()})
+    corrupted = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.basis_element(0)})
     report, checks = run_tor_checks(data, corrupted)
     assert report is None
     assert len(checks) == 1
@@ -397,7 +470,7 @@ def test_linear_parts_of_the_induced_maps_give_the_tor_table(field):
     # a basis of N, which lift a basis of N/mN
     identity = Matrix.identity(field, N.dim)
     _, pivots = radical.hstack(identity).rref()
-    lifts = Matrix.from_cols(field, [identity.column(j - r) for j in pivots[r:]])
+    lifts = Matrix.from_cols(field, [[row[j - r] for row in identity.entries] for j in pivots[r:]])
     c = lifts.ncols
     assert (r, c) == (1, 2)
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import torcheck
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "torcheck").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "torcheck").glob("*.py"))
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -133,3 +134,34 @@ def test_exported_names_are_pinned():
         "substitute_matrix",
         "tor_from_resolution",
     ]
+
+
+def test_every_function_is_named_outside_the_tests():
+    # a function or method that only tests call is dead code: tests use what
+    # the library uses.  ArtinAlgebra.element is the checked entry point for
+    # coordinates from outside, kept for library users.
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    named, defined = set(), []
+    for path in SOURCES + bench:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update(filter(None, (node.name, node.asname)))
+        if path in SOURCES:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    defined.append(node.name)
+                elif isinstance(node, ast.ClassDef):
+                    defined += [
+                        "%s.%s" % (node.name, item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                    ]
+    assert len(bench) > 1
+    unnamed = [name for name in defined if name.rpartition(".")[2] not in named]
+    assert unnamed == ["ArtinAlgebra.element"]
