@@ -19,9 +19,10 @@ satisfy them by construction and skip the check.  Subspaces are basis
 matrices.  The library builds them only by generation (submodules, radical
 powers), so their columns are independent and closed under the action by
 construction and are not checked either; quotients are taken by generators.
-:func:`block_operator` is the one owner of the row-vector block convention:
-the axiom check, direct sum powers, free modules and the induced maps of
-:mod:`torcheck.complexes` are all grids that it writes.
+:func:`block_operator` is the one owner of the row-vector block convention.
+It takes the coefficient stack of a matrix over the algebra, one K-matrix
+per basis element: the axiom check, direct sum powers, free modules and the
+induced maps of :mod:`torcheck.complexes` all hand it stacks.
 The length of a module over such an algebra equals its K-dimension, because
 the only simple module is the 1-dimensional residue field.
 """
@@ -108,6 +109,14 @@ class ArtinAlgebra:
 
     def generator(self, name) -> "AlgebraElement":
         return self.basis_element(self.basis_names.index(name))
+
+    def coefficient_stack(self, grid, ncols) -> tuple:
+        """The stack of a grid of coordinate vectors already in the field: one
+        K-matrix per basis element, layer ``l`` holding coordinate ``l``.
+        Each grid row is transposed once into its ``dim`` layer rows, which
+        are empty for a row of no cells."""
+        split = [list(zip(*row)) or [()] * self.dim for row in grid]
+        return tuple(Matrix._raw(self.field, [r[l] for r in split], ncols) for l in range(self.dim))
 
     def coordinate_product(self, a, b) -> tuple:
         """Coordinates of the product of the elements with coordinate vectors
@@ -201,10 +210,6 @@ class AlgebraElement:
     def __bool__(self):
         return any(self.coords)
 
-    def constant_term(self):
-        """Coefficient on the unit basis element."""
-        return self.coords[0]
-
     def __repr__(self):
         f = self.algebra.field
         parts = []
@@ -237,39 +242,34 @@ def monomial_square_zero_algebra(field, generator_names) -> ArtinAlgebra:
     return ArtinAlgebra._raw(field, names, mult)
 
 
-def block_operator(field, actions, grid, ncols, dim) -> Matrix:
-    """The K-matrix of a ``p x ncols`` grid of algebra coordinate vectors
-    acting through ``actions``, one ``dim x dim`` operator per basis element.
-    Row ``i`` of ``grid`` lists its cells as ``(k, coords)`` pairs, and a
-    cell it does not list is zero, so a sparse grid costs only its cells; a
-    listed cell whose coordinates are all zero is skipped here, the one zero
-    test of a cell.
-    Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is the sum of
-    ``c * actions[l]`` over the coordinates ``c`` of cell ``k`` of row ``i``.
-    One pass skips zero coordinates and zero operator entries and reduces
-    each block where it is stored."""
-    reduce = field.reduce
-    terms = {}  # basis index -> non-zero (column, entry) pairs of each operator row
-    rows = [[0] * (len(grid) * dim) for _ in range(ncols * dim)]
-    for i, grid_row in enumerate(grid):
-        left = i * dim
-        for k, coords in grid_row:
-            if not any(coords):
-                continue
-            band = rows[k * dim : (k + 1) * dim]
-            for l, c in enumerate(coords):
-                if not c:
-                    continue
-                if l not in terms:
-                    terms[l] = [[(j, x) for j, x in enumerate(r) if x] for r in actions[l].entries]
-                # entry first: over Q an int ``c`` then meets Fraction's
-                # ``__mul__``, not its slower ``__rmul__``
-                for out, row_terms in zip(band, terms[l]):
-                    for j, x in row_terms:
-                        out[left + j] += x * c
-            for out in band:
-                out[left : left + dim] = map(reduce, out[left : left + dim])
-    return Matrix._raw(field, rows, len(grid) * dim)
+def block_operator(field, actions, stack, dim) -> Matrix:
+    """The K-matrix of the ``p x q`` algebra matrix with coefficient stack
+    ``stack`` acting through ``actions``, one ``dim x dim`` operator per basis
+    element.  Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is
+    the sum of ``stack[l][i][k] * actions[l]``.  Zero rows and entries of the
+    stack and zero operator entries are skipped, and each block written is
+    reduced once, after every layer has added to it."""
+    p, q = stack[0].nrows, stack[0].ncols
+    rows = [[0] * (p * dim) for _ in range(q * dim)]
+    written = set()
+    for layer, action in zip(stack, actions):
+        numbered = enumerate(layer.entries)
+        cells = [(i, k, c) for i, r in numbered if any(r) for k, c in enumerate(r) if c]
+        if not cells:
+            continue
+        # the non-zero (column, entry) pairs of each operator row
+        terms = [[(j, x) for j, x in enumerate(r) if x] for r in action.entries]
+        for i, k, c in cells:
+            written.add((k, i))
+            # entry first: over Q an int ``c`` then meets Fraction's
+            # ``__mul__``, not its slower ``__rmul__``
+            for out, row_terms in zip(rows[k * dim : (k + 1) * dim], terms):
+                for j, x in row_terms:
+                    out[i * dim + j] += x * c
+    for k, i in written:
+        for out in rows[k * dim : (k + 1) * dim]:
+            out[i * dim : (i + 1) * dim] = map(field.reduce, out[i * dim : (i + 1) * dim])
+    return Matrix._raw(field, rows, p * dim)
 
 
 def check_module_axioms(algebra, actions):
@@ -287,7 +287,8 @@ def check_module_axioms(algebra, actions):
         raise ValueError("unit must act as the identity")
     for i, products in enumerate(algebra.mult):
         for j, coords in enumerate(products):
-            if actions[i] @ actions[j] != block_operator(f, actions, [[(0, coords)]], 1, dim):
+            product = block_operator(f, actions, algebra.coefficient_stack([[coords]], 1), dim)
+            if actions[i] @ actions[j] != product:
                 raise ValueError("actions violate the structure constants at (%d, %d)" % (i, j))
 
 
@@ -390,11 +391,11 @@ class FDModule:
     def direct_sum_power(self, k: int) -> "FDModule":
         if k < 0:
             raise ValueError("power must be non-negative")
-        f = self.algebra.field
-        diagonals = (
-            [[(i, unit)] for i in range(k)] for unit in Matrix.identity(f, self.algebra.dim).entries
-        )
-        actions = [block_operator(f, self.actions, g, k, self.dim) for g in diagonals]
+        f, n = self.algebra.field, self.algebra.dim
+        one, zero = Matrix.identity(f, k), Matrix._raw(f, [[0] * k] * k, k)
+        # action l of N^k is the k x k diagonal of e_l, whose stack is I_k at l
+        stacks = ([one if j == l else zero for j in range(n)] for l in range(n))
+        actions = [block_operator(f, self.actions, stack, self.dim) for stack in stacks]
         return FDModule._raw(self.algebra, actions)
 
 

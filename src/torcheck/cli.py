@@ -161,10 +161,6 @@ def parse_coords(algebra, obj, where):
     return [parse_scalar(algebra.field, c, where) for c in element_length(algebra, obj, where)]
 
 
-def parse_element(algebra, obj, where):
-    return AlgebraElement(algebra, parse_coords(algebra, obj, where))
-
-
 def parse_rank(algebra, obj, key):
     """The free rank under ``module.<key>``, its free module within the size limit."""
     rank = parse_int(obj[key], 0, '"module.%s" must be a non-negative integer' % key)
@@ -228,8 +224,9 @@ def parse_grid(obj, where, minimum, parse_entry, empty=None):
 
 
 def parse_algebra_matrix(algebra, obj, where):
-    cols, grid = parse_grid(obj, where, 0, partial(parse_element, algebra))
-    return AlgebraMatrix._raw(algebra, grid, cols)
+    """An algebra matrix, its stack split from the grid of coordinate lists."""
+    cols, grid = parse_grid(obj, where, 0, partial(parse_coords, algebra))
+    return AlgebraMatrix._raw(algebra, algebra.coefficient_stack(grid, cols))
 
 
 def parse_poly(table, obj, where):

@@ -17,11 +17,11 @@ complex of induced maps is its list of K-matrices and its homology is read
 from their ranks.  The powers N^k are built as modules only where their
 module structure is asked about (radicals, in :mod:`torcheck.rigidity`).
 
-An :class:`AlgebraMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over an
-algebra.  Its public constructor checks that each entry from outside belongs
-to the algebra; products, substitutions, the K-matrices of induced maps and
-the matrices the command line has parsed and checked are built by the
-trusted ``_raw``.
+An :class:`AlgebraMatrix` is its coefficient stack, one K-matrix per basis
+element, and a composite is taken by the structure constants.  Its public
+constructor checks that each entry from outside belongs to the algebra;
+products, substitutions and the matrices the command line has parsed and
+checked are built from their stacks by the trusted ``_raw``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import DenseMatrix, FieldMismatchError, Matrix, ShapeError, dense_product
+from .linalg import FieldMismatchError, Matrix, ShapeError, dense_product
 
 
 class NotAComplexError(ValueError):
@@ -52,24 +52,74 @@ def _check_composite(product, position, what):
         raise NotAComplexError(message, position=position, entry=entry)
 
 
-class AlgebraMatrix(DenseMatrix):
-    """Dense matrix over an algebra; an entry from outside must be an
-    :class:`AlgebraElement` of that algebra."""
+class AlgebraMatrix:
+    """Immutable matrix over an algebra, stored as its coefficient stack:
+    ``stack[l]`` is the K-matrix of the entries' coordinates on basis element
+    ``l``.  An entry from outside must be an :class:`AlgebraElement` of that
+    algebra."""
 
-    __slots__ = ()
-    algebra = DenseMatrix.ring
+    __slots__ = ("algebra", "stack", "nrows", "ncols")
 
-    @staticmethod
-    def _admit(algebra, e):
-        if not isinstance(e, AlgebraElement) or e.algebra != algebra:
+    def __init__(self, algebra, rows, ncols=None):
+        rows = [list(row) for row in rows]
+        if not all(isinstance(e, AlgebraElement) and e.algebra == algebra for r in rows for e in r):
             raise ValueError("entry is not an element of the given algebra")
-        return e
+        # the public Matrix constructor checks the shape of each layer
+        layers = ([[e.coords[l] for e in row] for row in rows] for l in range(algebra.dim))
+        self._set(algebra, tuple(Matrix(algebra.field, layer, ncols) for layer in layers))
+
+    @classmethod
+    def _raw(cls, algebra, stack):
+        """Internal constructor for ``algebra.dim`` K-matrices of one shape,
+        their entries already in the algebra's field."""
+        m = cls.__new__(cls)
+        m._set(algebra, tuple(stack))
+        return m
+
+    def _set(self, algebra, stack):
+        for name, value in zip(self.__slots__, (algebra, stack, stack[0].nrows, stack[0].ncols)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AlgebraMatrix is immutable")
+
+    def entry(self, i, j):
+        return AlgebraElement(self.algebra, [m.entries[i][j] for m in self.stack])
+
+    def first_nonzero(self):
+        """``(row, col)`` of the first non-zero entry in row-major order, or ``None``."""
+        return min(filter(None, (m.first_nonzero() for m in self.stack)), default=None)
+
+    def __eq__(self, other):
+        same = type(other) is AlgebraMatrix
+        return same and (self.algebra, self.stack) == (other.algebra, other.stack)
+
+    def __repr__(self):
+        return "AlgebraMatrix(%dx%d)" % (self.nrows, self.ncols)
 
     def __matmul__(self, other):
+        """Layer ``k`` of the product sums ``c^k_lm . A_l B_m`` over the pairs
+        ``(l, m)`` with ``mult[l][m]``, ``A_l`` and ``B_m`` non-zero, and is
+        reduced once, where it is stored."""
         if self.algebra != other.algebra:
             raise ValueError("matrices over different algebras")
-        rows = dense_product(self, other, self.algebra.zero())
-        return AlgebraMatrix._raw(self.algebra, rows, other.ncols)
+        check_chain([self, other], "factors")
+        f, mult, ncols = self.algebra.field, self.algebra.mult, other.ncols
+        right = [(m, b) for m, b in enumerate(other.stack) if b.first_nonzero() is not None]
+        terms = {}  # output basis index -> (structure constant, unreduced rows of A_l B_m)
+        for l, a in enumerate(self.stack):
+            for m, b in right if a.first_nonzero() is not None else ():
+                if any(mult[l][m]):
+                    product = dense_product(a, b, 0)
+                    for k, c in enumerate(mult[l][m]):
+                        if c:
+                            terms.setdefault(k, []).append((c, product))
+        stack = [Matrix._raw(f, [[0] * ncols] * self.nrows, ncols)] * self.algebra.dim
+        rows, cols = range(self.nrows), range(ncols)
+        for k, parts in terms.items():
+            sums = [[f.reduce(sum(c * r[i][j] for c, r in parts)) for j in cols] for i in rows]
+            stack[k] = Matrix._raw(f, sums, ncols)
+        return AlgebraMatrix._raw(self.algebra, stack)
 
 
 def check_chain(matrices, what):
@@ -85,20 +135,19 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra.  Raises
-    :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
-    algebra have one field, checked once per matrix, so a matrix with no
-    non-zero entry is checked too.  Only the non-zero entries are
-    substituted; every zero entry is one zero element, built once per matrix
-    and shared, since an :class:`AlgebraElement` is immutable."""
+    """Entrywise polynomial substitution into the algebra, split into the
+    coefficient stack.  Raises :class:`~torcheck.linalg.FieldMismatchError`
+    unless the matrix and the algebra have one field, checked once per
+    matrix, so a matrix with no non-zero entry is checked too.  Only the
+    non-zero entries are substituted; a zero entry is zero in every layer."""
     if m.table.field != algebra.field:
         raise FieldMismatchError(
             "polynomial over %r substituted into an algebra over %r"
             % (m.table.field, algebra.field)
         )
-    zero = algebra.zero()
-    rows = [[p.substitute(assignment, algebra) if p else zero for p in row] for row in m.entries]
-    return AlgebraMatrix._raw(algebra, rows, m.ncols)
+    zero = (0,) * algebra.dim
+    grid = [[p.substitute(assignment, algebra).coords if p else zero for p in r] for r in m.entries]
+    return AlgebraMatrix._raw(algebra, algebra.coefficient_stack(grid, m.ncols))
 
 
 def check_module_map(source: FDModule, target: FDModule, matrix: Matrix):
@@ -138,13 +187,12 @@ class ModuleMap:
 def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
     """K-matrix of the map N^p -> N^q induced by a p x q algebra matrix under
     the row-vector convention, of shape ``q*dim x p*dim``.  It is the q x p
-    grid of action operators that :func:`block_operator` writes, with block
-    (k, i) the action of a[i][k]; no module N^p or N^q is built.  The grid
-    lists every cell, and :func:`block_operator` skips the zero ones."""
+    grid of action operators that :func:`block_operator` writes from the
+    matrix's coefficient stack, with block (k, i) the action of a[i][k]; no
+    module N^p or N^q is built."""
     if a.algebra != module.algebra:
         raise ValueError("matrix and module over different algebras")
-    grid = [[(k, e.coords) for k, e in enumerate(row)] for row in a.entries]
-    return block_operator(module.algebra.field, module.actions, grid, a.ncols, module.dim)
+    return block_operator(module.algebra.field, module.actions, a.stack, module.dim)
 
 
 class HomologySummary(namedtuple("HomologySummary", "length kernel_dim image_dim")):

@@ -20,8 +20,8 @@ coefficient.  A stored value is therefore false exactly when it is zero.
 Over Q most stored values are ints, and a sum or product of two ints skips
 ``Fraction``'s gcds.
 
-Field, algebra and polynomial matrices share one core, :class:`DenseMatrix`.
-Its public constructor checks entries from outside; every matrix the library
+Field and polynomial matrices share one core, :class:`DenseMatrix`.  Its
+public constructor checks entries from outside; every matrix the library
 builds itself (products, substitutions, generic matrices, kernel and image
 bases, stacks) is made by the trusted ``_raw`` and not checked again.
 """
@@ -160,7 +160,7 @@ def _check_same_field(a, b):
 
 
 class DenseMatrix:
-    """Immutable matrix over a ring (a field, an algebra or a variable table),
+    """Immutable matrix over a ring (a field or a variable table),
     stored row-major as a tuple of row tuples.  The one shape rule: rows have
     equal length, and ``ncols`` gives the width of a matrix with no rows.  A
     subclass checks an entry from outside in its ``_admit`` and defines ``@``.

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from .algebras import FDModule, free_module, monomial_square_zero_algebra
 from .complexes import AlgebraMatrix, NotAComplexError, tor_from_resolution
-from .linalg import DenseMatrix, same_span
+from .linalg import same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
@@ -213,13 +213,14 @@ def displayed_matrices(algebra):
     """The specialized images of X and Y, both of the form [s.I_k | t.I_k]:
     Xbar = [s.I2 | t.I2] (2x4) and Ybar = [s.I4 | t.I4] (4x8).  Every u goes
     to 0; other images come through ``spec._replace(assignment=...)``."""
-    s, t, zero = algebra.generator("s"), algebra.generator("t"), algebra.zero()
+    s, t = (algebra.generator(g).coords for g in "st")
+    zero = algebra.zero().coords
 
     def block(k):
-        rows = [
+        grid = [
             [s if j == i else (t if j == i + k else zero) for j in range(2 * k)] for i in range(k)
         ]
-        return AlgebraMatrix._raw(algebra, rows, 2 * k)
+        return AlgebraMatrix._raw(algebra, algebra.coefficient_stack(grid, 2 * k))
 
     return block(2), block(4)
 
@@ -235,10 +236,10 @@ def build_specialization(field) -> SpecializationData:
     S = monomial_square_zero_algebra(field, ["s", "t"])
     xbar, ybar = displayed_matrices(S)
     assignment = {
-        "%s%d%d" % (prefix, i, j): e
+        "%s%d%d" % (prefix, i + 1, j + 1): m.entry(i, j)
         for prefix, m in (("x", xbar), ("y", ybar))
-        for i, row in enumerate(m.entries, 1)
-        for j, e in enumerate(row, 1)
+        for i in range(m.nrows)
+        for j in range(m.ncols)
     }
     zero = S.zero()
     for c1, c2 in combinations(range(1, ybar.ncols + 1), 2):
@@ -354,19 +355,13 @@ def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> Ch
     return CheckResult("homomorphism_relations_vanish", offender is None, details)
 
 
-def _residue(m):
-    """``m`` modulo the maximal ideal: the matrix of its entries' constant
-    terms, over the field of its ring."""
-    rows = [[e.constant_term() for e in row] for row in m.entries]
-    return DenseMatrix._raw(m.ring.field, rows, m.ncols)
-
-
 def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
     """Xbar and X both vanish modulo the maximal ideal: every entry of Xbar
     lies in the radical and every entry of X has zero constant term, so the
-    first map of the resolution cannot split off."""
-    unit = _residue(spec.xbar).first_nonzero()
-    symbolic_ok = _residue(data.x).first_nonzero() is None
+    first map of the resolution cannot split off.  Xbar modulo the maximal
+    ideal is layer 0 of its coefficient stack."""
+    unit = spec.xbar.stack[0].first_nonzero()
+    symbolic_ok = not any(p.constant_term() for row in data.x.entries for p in row)
     details = {"xbar_in_radical": unit is None, "x_zero_constant_terms": symbolic_ok}
     if unit is not None:
         details["offender"] = "xbar[%d,%d]" % (unit[0] + 1, unit[1] + 1)

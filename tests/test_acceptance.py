@@ -141,9 +141,9 @@ def test_criterion_5_homomorphism():
 def test_criterion_6_pd_witness():
     data = build_generic_data(FIELD)
     spec = build_specialization(FIELD)
-    for row in spec.xbar.entries:
-        for entry in row:
-            assert not entry.constant_term()
+    for i in range(spec.xbar.nrows):
+        for j in range(spec.xbar.ncols):
+            assert spec.xbar.entry(i, j).coords[0] == 0
     for i in range(data.x.nrows):
         for j in range(data.x.ncols):
             assert data.x.entry(i, j).constant_term() == 0

@@ -100,9 +100,14 @@ def _ref_blocks(actions, grid, ncols, dim):
     return rows
 
 
+def elements(a):
+    """Rows of the entries of the algebra matrix ``a``, as elements."""
+    return [[a.entry(i, j) for j in range(a.ncols)] for i in range(a.nrows)]
+
+
 def _block_grid(module, alg_matrix):
     """The expected induced K-matrix: block (k, i) is the action of entry (i, k)."""
-    grid = [[e.coords for e in row] for row in alg_matrix.entries]
+    grid = [[e.coords for e in row] for row in elements(alg_matrix)]
     return _ref_blocks(module.actions, grid, alg_matrix.ncols, module.dim)
 
 
@@ -132,15 +137,17 @@ def test_block_operator_places_block_k_i_from_grid_entry_i_k(field):
             return A.element([rng.choice((0, 0, 1, -1, 2, 50)) for _ in range(A.dim)]).coords
 
         for p, q in ((2, 2), (3, 3), (2, 3), (3, 1), (0, 3), (2, 0), (0, 0)):
-            # a row lists some of its cells; one it leaves out is zero
+            # about a third of the cells are zero, so some rows of a layer are too
             grid = [
-                [coords() if rng.random() < 0.7 else None for _ in range(q)] for _ in range(p)
+                [coords() if rng.random() < 0.7 else (0,) * A.dim for _ in range(q)]
+                for _ in range(p)
             ]
-            cells = [[(k, c) for k, c in enumerate(row) if c is not None] for row in grid]
-            dense = [[(0,) * A.dim if c is None else c for c in row] for row in grid]
-            got = block_operator(field, M.actions, cells, q, d)
+            stack = [
+                Matrix(field, [[c[l] for c in row] for row in grid], q) for l in range(A.dim)
+            ]
+            got = block_operator(field, M.actions, stack, d)
             assert (got.nrows, got.ncols) == (q * d, p * d)
-            assert got == Matrix(field, _ref_blocks(M.actions, dense, q, d), ncols=p * d)
+            assert got == Matrix(field, _ref_blocks(M.actions, grid, q, d), ncols=p * d)
 
 
 @FIELDS
@@ -204,7 +211,8 @@ def test_induced_map_sends_pairs_through_the_displayed_matrix(scene):
     S, N, _, _, _, _, Xbar, _ = scene
     f = induced_map(Xbar, N)
     act_s, act_t = (
-        block_operator(QQ, N.actions, [[(0, S.generator(g).coords)]], 1, N.dim) for g in "st"
+        block_operator(QQ, N.actions, [Matrix(QQ, [[c]]) for c in S.generator(g).coords], N.dim)
+        for g in "st"
     )
     out, s_cols, t_cols = (list(zip(*m.entries)) for m in (f, act_s, act_t))
     for n1 in range(3):
@@ -239,6 +247,43 @@ def test_composite_of_specialized_differentials_vanishes(scene):
     fx = induced_map(Xbar, N)
     fy = induced_map(Ybar, N)
     assert (fy @ fx).first_nonzero() is None
+
+
+@FIELDS
+def test_stack_composites_agree_with_elementwise_products(field):
+    # entries with unit parts make layer 0 non-zero, so every pair (l, m) with
+    # a non-zero structure constant is taken; over K[u]/(u^3) the pair (u, u)
+    # gives u2, and a product of radical matrices over S = K[s,t]/(s,t)^2 is zero
+    rng = random.Random(47)
+    values = (0, 1, -1, 2, 50, Fraction(1, 3))
+    shapes = [(2, 3, 2), (3, 1, 4), (1, 4, 1), (0, 2, 3), (2, 0, 3), (2, 3, 0), (0, 0, 0)]
+
+    def rand_rows(A, nrows, ncols, unit):
+        """About a third of the entries zero; the others radical unless ``unit``."""
+
+        def entry():
+            if rng.random() < 0.3:
+                return A.zero()
+            return A.element([rng.choice(values) if unit or l else 0 for l in range(A.dim)])
+
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+    firsts = []
+    for A in (monomial_square_zero_algebra(field, ["s", "t"]), _truncated_line(field)):
+        for p, q, r in shapes * 4 + [(3, 3, 3)] * 12:
+            unit = rng.random() < 0.5
+            rows_a, rows_b = rand_rows(A, p, q, unit), rand_rows(A, q, r, unit)
+            product = AlgebraMatrix(A, rows_a, q) @ AlgebraMatrix(A, rows_b, r)
+            want = [
+                [sum((rows_a[i][k] * rows_b[k][j] for k in range(q)), A.zero()) for j in range(r)]
+                for i in range(p)
+            ]
+            assert (product.nrows, product.ncols) == (p, r)
+            assert elements(product) == want
+            first = next(((i, j) for i in range(p) for j in range(r) if want[i][j]), None)
+            assert product.first_nonzero() == first
+            firsts.append(first)
+    assert None in firsts and any(f and f != (0, 0) for f in firsts)
 
 
 def test_induced_map_functorial():
@@ -381,15 +426,25 @@ def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
     assert tor == load("golden/tor-residue-fp101.json")["tor"]
 
 
-def test_induced_map_tests_no_element_for_zero(monkeypatch):
-    # every cell is listed, and block_operator's test of its coordinates is
-    # the one zero test of a cell
+def test_tor_tests_and_multiplies_no_element(monkeypatch):
+    # the composite check multiplies coefficient stacks, induced maps read
+    # them, and substitution works on coordinate vectors, so a tor call makes
+    # no element zero test and no element product
     matrices, assignment, module = residue_scene()
-    specialized = [substitute_matrix(m, assignment, module.algebra) for m in matrices]
     calls = []
-    monkeypatch.setattr(AlgebraElement, "__bool__", lambda e: calls.append(e) or any(e.coords))
-    maps = [induced_map(a, module) for a in specialized]
-    assert [k.ncols for k in maps] == [a.nrows * module.dim for a in specialized]
+    for name in ("__bool__", "__mul__"):
+        method = getattr(AlgebraElement, name)
+
+        def counting(*args, method=method, name=name):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(AlgebraElement, name, counting)
+    report = tor_from_resolution(matrices, assignment, module)
+    assert report.complex.dims == [matrices[0].nrows * module.dim] + [
+        m.ncols * module.dim for m in matrices
+    ]
+    assert report.lengths() == tuple(load("golden/tor-residue-fp101.json")["tor"].values())
     assert calls == []
 
 
@@ -540,9 +595,6 @@ def test_substitute_matrix_is_entrywise_substitution(field):
     rows = [[zero, a * b + three, zero], [a * a, WeightedPoly.zero(table), b - b]]
     got = substitute_matrix(PolyMatrix(table, rows), assignment, S)
     assert got == AlgebraMatrix(S, [[p.substitute(assignment, S) for p in row] for row in rows])
-    # the zero entries are one shared zero element
-    zeros = [e for row in got.entries for e in row if not e]
-    assert len(zeros) == 4 and all(e is zeros[0] for e in zeros)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])

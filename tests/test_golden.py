@@ -10,6 +10,10 @@ complex has algebra entries with several non-zero coordinates, which the
 bundled example never has.  So is the ``describe`` of a quotient of S^3 by
 10 dense radical relations over Q at 32 generators, whose module is built
 from the rref of a 99 x 109 rational matrix.
+
+One failing command is pinned with its exit code 1: a resolution whose
+second composite is non-zero at entry (1, 0) only, through a unit part, so
+the report names the first non-zero entry in row-major order.
 """
 
 from importlib.resources import files
@@ -30,6 +34,7 @@ DOCUMENTS = {
     "residue-module": TESTS / "fixtures" / "bench_residue_module.json",
     "dense-complex": TESTS / "fixtures" / "bench_dense_complex.json",
     "quotient-q32": TESTS / "fixtures" / "quotient_q32.json",
+    "second-composite": TESTS / "fixtures" / "bad_second_composite.json",
 }
 
 # golden file stem -> argv, with document keys in place of their paths
@@ -48,18 +53,24 @@ JSON_COMMANDS = {
     "homology-dense-q": ["homology", "dense-complex"],
     "describe-quotient-q32": ["describe", "quotient-q32"],
 }
-CASES = [
-    (stem + "." + fmt, argv + ["--format", fmt])
-    for stem, argv in COMMANDS.items()
-    for fmt in ("json", "text")
-] + [(stem + ".json", argv + ["--format", "json"]) for stem, argv in JSON_COMMANDS.items()]
+# a failed check, pinned in JSON with its exit code
+FAILING_COMMANDS = {"tor-second-composite": ["tor", "second-composite", "module"]}
+CASES = (
+    [
+        (stem + "." + fmt, argv + ["--format", fmt], 0)
+        for stem, argv in COMMANDS.items()
+        for fmt in ("json", "text")
+    ]
+    + [(stem + ".json", argv + ["--format", "json"], 0) for stem, argv in JSON_COMMANDS.items()]
+    + [(stem + ".json", argv + ["--format", "json"], 1) for stem, argv in FAILING_COMMANDS.items()]
+)
 
 
 def golden_argv(argv):
     return [str(DOCUMENTS[a]) if a in DOCUMENTS else a for a in argv]
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
-def test_report_bytes_match_the_golden_file(name, argv, capsysbinary):
-    assert main(golden_argv(argv)) == 0
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[name for name, _, _ in CASES])
+def test_report_bytes_match_the_golden_file(name, argv, code, capsysbinary):
+    assert main(golden_argv(argv)) == code
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()

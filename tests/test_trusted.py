@@ -112,7 +112,8 @@ def record_results(monkeypatch, cls, name, made, wrap=lambda f: f):
 
 @pytest.fixture
 def ring_matrices(monkeypatch):
-    """Lists of every ``AlgebraMatrix._raw`` and ``PolyMatrix._raw`` matrix."""
+    """Lists of every ``AlgebraMatrix._raw`` and ``PolyMatrix._raw`` matrix; an
+    algebra matrix is built from its stack."""
     record = {AlgebraMatrix: [], PolyMatrix: []}
     for cls, made in record.items():
         record_results(monkeypatch, cls, "_raw", made, staticmethod)
@@ -126,6 +127,11 @@ def bases(monkeypatch):
     for name in ("kernel_basis", "image_basis", "hstack"):
         record_results(monkeypatch, Matrix, name, made)
     return made
+
+
+def elements(a):
+    """Rows of the entries of the algebra matrix ``a``, as elements."""
+    return [[a.entry(i, j) for j in range(a.ncols)] for i in range(a.nrows)]
 
 
 def is_reduced(field, x):
@@ -307,14 +313,18 @@ def test_ring_matrices_pass_their_public_constructors(ring_matrices, capsys):
     assert {m.algebra.field for m in algebra_matrices} == {GF(101), QQ}
     assert len(poly_matrices) >= 4
     for m in algebra_matrices:
-        assert AlgebraMatrix(m.algebra, m.entries, m.ncols) == m
+        assert len(m.stack) == m.algebra.dim
+        for layer in m.stack:
+            assert (layer.nrows, layer.ncols) == (m.nrows, m.ncols)
+            assert all(is_reduced(layer.field, x) for row in layer.entries for x in row), m
+        assert AlgebraMatrix(m.algebra, elements(m), m.ncols) == m
     for m in poly_matrices:
         assert PolyMatrix(m.table, m.entries, m.ncols) == m
     # and those constructors do check: entries from another ring are rejected
     a = next(m for m in algebra_matrices if m.algebra.field == QQ and m.first_nonzero() is not None)
     p = next(m for m in poly_matrices if m.nrows)
     with pytest.raises(ValueError, match="not an element of the given algebra"):
-        AlgebraMatrix(monomial_square_zero_algebra(GF(101), ["s", "t"]), a.entries, a.ncols)
+        AlgebraMatrix(monomial_square_zero_algebra(GF(101), ["s", "t"]), elements(a), a.ncols)
     with pytest.raises(ValueError, match="different variable table"):
         PolyMatrix(VarTable(p.table.field), p.entries, p.ncols)
 
