@@ -135,19 +135,26 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra, split into the
-    coefficient stack.  Raises :class:`~torcheck.linalg.FieldMismatchError`
-    unless the matrix and the algebra have one field, checked once per
-    matrix, so a matrix with no non-zero entry is checked too.  Only the
-    non-zero entries are substituted; a zero entry is zero in every layer."""
+    """Entrywise polynomial substitution into the algebra, written straight
+    into the coefficient stack.  Raises
+    :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
+    algebra have one field, checked once per matrix, so a matrix with no
+    non-zero entry is checked too.  Only the non-zero entries are
+    substituted and written; a zero entry is zero in every layer."""
     if m.table.field != algebra.field:
         raise FieldMismatchError(
             "polynomial over %r substituted into an algebra over %r"
             % (m.table.field, algebra.field)
         )
-    zero = (0,) * algebra.dim
-    grid = [[p.substitute(assignment, algebra).coords if p else zero for p in r] for r in m.entries]
-    return AlgebraMatrix._raw(algebra, algebra.coefficient_stack(grid, m.ncols))
+    layers = [[[0] * m.ncols for _ in range(m.nrows)] for _ in range(algebra.dim)]
+    for i, row in enumerate(m.entries):
+        for j, p in enumerate(row):
+            # a polynomial is zero exactly when it has no terms; reading the
+            # dict spares a method call on each of a resolution's many zeros
+            if p.terms:
+                for layer, c in zip(layers, p.substitute(assignment, algebra).coords):
+                    layer[i][j] = c
+    return AlgebraMatrix._raw(algebra, (Matrix._raw(algebra.field, x, m.ncols) for x in layers))
 
 
 def check_module_map(source: FDModule, target: FDModule, matrix: Matrix):
