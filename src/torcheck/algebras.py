@@ -158,6 +158,9 @@ class AlgebraElement:
 
     The constructor takes field values as they are; coordinates from outside
     go through :meth:`ArtinAlgebra.element`, which normalizes and checks them.
+
+    ``+ - *`` have no library caller: they are kept as the reference
+    arithmetic that tests check the coordinate and stack kernels against.
     """
 
     __slots__ = ("algebra", "coords")

@@ -347,7 +347,7 @@ def parse_resolution_doc(doc):
         if not isinstance(value, list):
             raise InputError("%s: an algebra element must be a list of coefficient strings" % where)
         assignment[name] = [parse_scalar(field, c, where) for c in value]
-    entries = (p for m in matrices for row in m.entries for p in row if p)
+    entries = (p for m in matrices for row in m.entries for p in row if p.terms)
     used = {table.name_of(i) for p in entries for i in p.variables_used()}
     missing = sorted(used - set(assignment))
     if missing:

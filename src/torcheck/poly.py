@@ -152,21 +152,6 @@ class WeightedPoly:
         idx = table.index_of(name) if isinstance(name, str) else name
         return cls(table, {((idx, 1),): 1})
 
-    @classmethod
-    def monomial(cls, table, exponents, c=1):
-        """``c`` times the monomial: ``exponents`` maps variable index (or
-        name) to a positive exponent."""
-        c = table.field.normalize(c)
-        if not c:
-            return cls(table, {})
-        pairs = []
-        for var, exp in exponents.items():
-            idx = table.index_of(var) if isinstance(var, str) else var
-            if not isinstance(exp, int) or exp < 1:
-                raise ValueError("exponent must be a positive integer; got %r" % (exp,))
-            pairs.append((idx, exp))
-        return cls(table, {tuple(sorted(pairs)): c})
-
     # -- ring operations ----------------------------------------------
 
     def _check_table(self, other):

@@ -14,6 +14,8 @@ that sends the generic entries to the displayed radical matrices
 
 and every u to 0; the assignment is a ring homomorphism because every
 relation lies in the square of the generator ideal and rad(S)^2 = 0.  The
+assignment is the one stored record of that map: the checks get Xbar and
+Ybar by substituting X and Y through it, as Tor does.  The
 module N = S^2/((t,0), (0,s), (s,t))S has length 3, and the homology of
 0 -> N^2 -> N^4 -> N^8 gives the Tor table (16, 0, 2): vanishing in degree 1
 with non-vanishing in degree 2, which is the non-rigidity witness.
@@ -30,7 +32,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .algebras import FDModule, free_module, monomial_square_zero_algebra
-from .complexes import AlgebraMatrix, NotAComplexError, tor_from_resolution
+from .complexes import AlgebraMatrix, NotAComplexError, substitute_matrix, tor_from_resolution
 from .linalg import same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
 
@@ -101,14 +103,20 @@ def relation_label(class_name, key) -> str:
     return LABEL_FORMATS[class_name] % key
 
 
-class SpecializationData(namedtuple("SpecializationData", "algebra assignment xbar ybar module")):
-    """The specialized side: S, the assignment, the displayed matrices, N.
+class SpecializationData(namedtuple("SpecializationData", "assignment module")):
+    """The specialized side: the assignment, the one record of R -> S, and N.
 
+    Xbar and Ybar are X and Y substituted through the assignment.
     :meth:`module_power` builds each power N^k once and keeps it in the
     instance dict, so the length check and the Tor checks of one report share
     them.  The kept powers take no part in ``==`` or ``repr``, and a modified
     copy made by ``spec._replace(...)`` builds its own.
     """
+
+    @property
+    def algebra(self):
+        """S, the algebra of :attr:`module`."""
+        return self.module.algebra
 
     def module_power(self, k: int) -> FDModule:
         """The direct sum power N^k of :attr:`module`."""
@@ -226,7 +234,7 @@ def displayed_matrices(algebra):
 
 
 def build_specialization(field) -> SpecializationData:
-    """S, the displayed matrices, the generator assignment, and N.
+    """The generator assignment into S, and N.
 
     The assignment sends each x and y to its entry of Xbar or Ybar and every
     u to 0, in that key order.  Other images, such as radical u-images, come
@@ -247,7 +255,7 @@ def build_specialization(field) -> SpecializationData:
     F = free_module(S, 2)
     # relations (t,0), (0,s), (s,t) in coordinates over the basis (1,s,t|1,s,t)
     N, _ = F.quotient_module([(0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 1)])
-    return SpecializationData(algebra=S, assignment=assignment, xbar=xbar, ybar=ybar, module=N)
+    return SpecializationData(assignment=assignment, module=N)
 
 
 # -- individual checks -----------------------------------------------------------
@@ -302,24 +310,25 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
     return CheckResult("relations_in_p_squared", offender is None, details)
 
 
-def check_specialization_matrices(spec: SpecializationData) -> CheckResult:
-    """The stored matrices equal the displayed ones entry for entry."""
-    xbar, ybar = displayed_matrices(spec.algebra)
-    x_ok = spec.xbar == xbar
-    y_ok = spec.ybar == ybar
-    details = {"xbar_matches": x_ok, "ybar_matches": y_ok}
-    if not x_ok or not y_ok:
-        for label, got, want in (("xbar", spec.xbar, xbar), ("ybar", spec.ybar, ybar)):
-            shape, expected = (got.nrows, got.ncols), (want.nrows, want.ncols)
-            if shape != expected:
-                details["offender"] = "%s shape %dx%d, expected %dx%d" % (label, *shape, *expected)
-                return CheckResult("specialization_matrices", False, details)
-            for i in range(want.nrows):
-                for j in range(want.ncols):
-                    if got.entry(i, j) != want.entry(i, j):
-                        details["offender"] = "%s[%d,%d]" % (label, i + 1, j + 1)
-                        return CheckResult("specialization_matrices", False, details)
-    return CheckResult("specialization_matrices", x_ok and y_ok, details)
+def check_specialization_matrices(data: GenericComplexData, spec: SpecializationData):
+    """X and Y substituted through the assignment, as Tor substitutes them,
+    equal the displayed Xbar and Ybar entry for entry."""
+    bars = [substitute_matrix(m, spec.assignment, spec.algebra) for m in (data.x, data.y)]
+    compared = list(zip(("xbar", "ybar"), bars, displayed_matrices(spec.algebra)))
+    details = {"%s_matches" % label: got == want for label, got, want in compared}
+    for label, got, want in compared:
+        if got == want:
+            continue
+        shape, expected = (got.nrows, got.ncols), (want.nrows, want.ncols)
+        if shape != expected:
+            details["offender"] = "%s shape %dx%d, expected %dx%d" % (label, *shape, *expected)
+            return CheckResult("specialization_matrices", False, details)
+        for i in range(want.nrows):
+            for j in range(want.ncols):
+                if got.entry(i, j) != want.entry(i, j):
+                    details["offender"] = "%s[%d,%d]" % (label, i + 1, j + 1)
+                    return CheckResult("specialization_matrices", False, details)
+    return CheckResult("specialization_matrices", True, details)
 
 
 def check_module_lengths(spec: SpecializationData) -> CheckResult:
@@ -358,9 +367,10 @@ def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> Ch
 def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
     """Xbar and X both vanish modulo the maximal ideal: every entry of Xbar
     lies in the radical and every entry of X has zero constant term, so the
-    first map of the resolution cannot split off.  Xbar modulo the maximal
-    ideal is layer 0 of its coefficient stack."""
-    unit = spec.xbar.stack[0].first_nonzero()
+    first map of the resolution cannot split off.  Xbar is X substituted as
+    Tor substitutes it; modulo the maximal ideal it is its stack's layer 0."""
+    xbar = substitute_matrix(data.x, spec.assignment, spec.algebra)
+    unit = xbar.stack[0].first_nonzero()
     symbolic_ok = not any(p.constant_term() for row in data.x.entries for p in row)
     details = {"xbar_in_radical": unit is None, "x_zero_constant_terms": symbolic_ok}
     if unit is not None:
@@ -459,7 +469,7 @@ def full_report(field, generic=None, specialization=None) -> VerificationReport:
         check_counts(data),
         check_grading(data),
         check_psquare(data),
-        check_specialization_matrices(spec),
+        check_specialization_matrices(data, spec),
         lengths_check,
         check_homomorphism(data, spec),
         check_pd_witness(data, spec),

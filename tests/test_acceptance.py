@@ -26,6 +26,8 @@ from torcheck.rigidity import (
     run_tor_checks,
 )
 
+from polys import monomial
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = files("torcheck").joinpath("data")
 FIELD = GF(101)
@@ -141,9 +143,10 @@ def test_criterion_5_homomorphism():
 def test_criterion_6_pd_witness():
     data = build_generic_data(FIELD)
     spec = build_specialization(FIELD)
-    for i in range(spec.xbar.nrows):
-        for j in range(spec.xbar.ncols):
-            assert spec.xbar.entry(i, j).coords[0] == 0
+    xbar = substitute_matrix(data.x, spec.assignment, spec.algebra)
+    for i in range(xbar.nrows):
+        for j in range(xbar.ncols):
+            assert xbar.entry(i, j).coords[0] == 0
     for i in range(data.x.nrows):
         for j in range(data.x.ncols):
             assert data.x.entry(i, j).constant_term() == 0
@@ -213,7 +216,7 @@ def test_criterion_9_property_suites(capsys):
         p = WeightedPoly.constant(table, rng.randrange(101))
         for _ in range(rng.randrange(0, 3)):
             exps = {rng.choice(("a", "b", "c")): rng.randrange(1, 3)}
-            p = p + WeightedPoly.monomial(table, exps, rng.randrange(101))
+            p = p + monomial(table, exps, rng.randrange(101))
         return p
 
     for _ in range(15):

@@ -13,6 +13,8 @@ from torcheck.cli import main, parse_poly
 from torcheck.linalg import GF, QQ
 from torcheck.poly import VarTable, WeightedPoly
 
+from polys import monomial
+
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = files("torcheck").joinpath("data")
 
@@ -455,6 +457,46 @@ def test_missing_arguments(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["", "verify", "tor", "homology", "describe"],
+    ids=["top-level", "verify", "tor", "homology", "describe"],
+)
+def test_help_exits_zero_with_the_usage_on_stdout(capsys, command):
+    rc, out, err = run(capsys, *command.split(), "--help")
+    assert (rc, err) == (0, "")
+    assert out.startswith(" ".join(["usage: torcheck", *command.split(), "[-h]"]))
+
+
+@pytest.mark.parametrize(
+    "argv, reported",
+    [
+        (["tor", data_path("resolution.json"), data_path("module.json")], []),
+        (["homology", data_path("complex.json")], []),
+        (["describe", data_path("module.json")], []),
+        # the not-a-complex report is written only under --format json
+        (
+            ["tor", str(FIXTURES / "bad_resolution.json"), data_path("module.json")]
+            + ["--format", "json"],
+            ["not a complex"],
+        ),
+        (
+            ["homology", str(FIXTURES / "bad_complex.json"), "--format", "json"],
+            ["not a complex"],
+        ),
+    ],
+    ids=["tor", "homology", "describe", "tor-not-a-complex", "homology-not-a-complex"],
+)
+def test_unwritable_output_exits_two_for_every_command(tmp_path, capsys, argv, reported):
+    out = tmp_path / "missing" / "report"
+    rc, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    lines = err.splitlines()
+    assert [line.partition(":")[0] for line in lines] == reported + ["error"]
+    assert lines[-1].startswith("error: cannot write %s: " % out)
+    assert not out.parent.exists()
+
+
 # -- integer fields ------------------------------------------------------------
 
 SQUARE_ZERO = {"field": {"fp": 101}, "algebra": {"type": "square_zero", "generators": ["s"]}}
@@ -647,8 +689,8 @@ def test_parsed_polynomial_is_the_sum_of_its_terms(field):
         ["0", {"a": 4}],
     ]
     expected = WeightedPoly.zero(table)
-    for coeff, monomial in terms:
-        expected = expected + WeightedPoly.monomial(table, monomial, field.parse(coeff))
+    for coeff, exps in terms:
+        expected = expected + monomial(table, exps, field.parse(coeff))
     got = parse_poly(table, terms, "p")
     assert got == expected
     assert set(got.terms) == {((0, 2), (1, 1)), ((1, 3),)}
@@ -682,3 +724,14 @@ def test_zero_entries_are_one_shared_polynomial(monkeypatch):
     for m in matrices:
         zeros = [p for row in m.entries for p in row if not p]
         assert all(p is zeros[0] and p == WeightedPoly.zero(table) for p in zeros)
+
+
+def test_used_variable_scan_tests_no_polynomial(monkeypatch):
+    # a zero entry is told by its empty terms, not by WeightedPoly.__bool__
+    calls = []
+    test = WeightedPoly.__bool__
+    monkeypatch.setattr(WeightedPoly, "__bool__", lambda p: calls.append(1) or test(p))
+    doc = json.loads((FIXTURES / "bench_residue_resolution.json").read_text())
+    _, _, _, assignment = cli.parse_resolution_doc(doc)
+    assert calls == []
+    assert len(assignment) == 2

@@ -26,6 +26,8 @@ from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, ShapeError, same
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import build_generic_data, build_specialization
 
+from polys import monomial
+
 TESTS = Path(__file__).parent
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
 
@@ -615,7 +617,7 @@ def test_substitution_commutes_with_sparse_products(field):
         p = WeightedPoly.constant(table, rng.randrange(-3, 4))
         for _ in range(rng.randrange(0, 3)):
             exps = {rng.choice(("a", "b", "c")): rng.randrange(1, 3)}
-            p = p + WeightedPoly.monomial(table, exps, rng.randrange(1, 5))
+            p = p + monomial(table, exps, rng.randrange(1, 5))
         return p
 
     def rand_matrix(nrows, ncols):

@@ -13,6 +13,8 @@ from torcheck.cli import MAX_EXPONENT
 from torcheck.linalg import GF, QQ, FieldMismatchError
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
+from polys import monomial as mono
+
 
 @pytest.fixture
 def xy_setup():
@@ -20,10 +22,6 @@ def xy_setup():
     x = PolyMatrix.generic(table, "x", 2, 4, 2)
     y = PolyMatrix.generic(table, "y", 4, 8, 3)
     return table, x, y
-
-
-def mono(table, exps, coeff=1):
-    return WeightedPoly.monomial(table, exps, coeff)
 
 
 # -- construction --------------------------------------------------------
@@ -519,7 +517,7 @@ def substitution_cases(draw):
     )
     p = WeightedPoly.zero(table)
     for coeff, exps in draw(st.lists(monomials, max_size=5)):
-        p = p + WeightedPoly.monomial(table, exps, coeff)
+        p = p + mono(table, exps, coeff)
     coords = st.lists(scalars, min_size=algebra.dim, max_size=algebra.dim)
     assignment = {name: algebra.element(draw(coords)) for name in SUB_NAMES}
     used = sorted(table.name_of(idx) for idx in p.variables_used())

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from torcheck.algebras import ArtinAlgebra, FDModule
-from torcheck.complexes import AlgebraMatrix
+from torcheck.algebras import ArtinAlgebra, FDModule, free_module
+from torcheck.complexes import AlgebraMatrix, substitute_matrix
 from torcheck.linalg import GF, QQ, Matrix
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import (
@@ -20,6 +20,7 @@ from torcheck.rigidity import (
     check_pd_witness,
     check_psquare,
     check_specialization_matrices,
+    displayed_matrices,
     full_report,
     RELATION_CLASSES,
     relation_label,
@@ -68,24 +69,28 @@ def test_generator_counts(data):
 
 
 def test_f_is_the_column_34_minor(data):
-    expected = WeightedPoly.monomial(data.table, {"x13": 1, "x24": 1}) - (
-        WeightedPoly.monomial(data.table, {"x14": 1, "x23": 1})
-    )
-    assert data.f == expected
+    x = {n: WeightedPoly.variable(data.table, n) for n in ("x13", "x14", "x23", "x24")}
+    assert data.f == x["x13"] * x["x24"] - x["x14"] * x["x23"]
 
 
-def test_displayed_specialization_matrices(spec):
+def test_displayed_specialization_matrices(data, spec):
+    # the assignment and N are the whole specialization; S is N's algebra
+    assert SpecializationData._fields == ("assignment", "module")
     S = spec.algebra
+    assert S is spec.module.algebra
     s, t, zero = S.generator("s"), S.generator("t"), S.zero()
-    assert elements(spec.xbar) == [[s, zero, t, zero], [zero, s, zero, t]]
-    assert elements(spec.ybar)[2] == [zero, zero, s, zero, zero, zero, t, zero]
-    assert check_specialization_matrices(spec).passed
+    xbar, ybar = displayed_matrices(S)
+    assert elements(xbar) == [[s, zero, t, zero], [zero, s, zero, t]]
+    assert elements(ybar)[2] == [zero, zero, s, zero, zero, zero, t, zero]
+    result = check_specialization_matrices(data, spec)
+    assert result.passed
+    assert result.details == {"xbar_matches": True, "ybar_matches": True}
     # the x keys, then the y keys, then the u keys, each u sent to 0
     x_and_y = ["x%d%d" % (i, j) for i in range(1, 3) for j in range(1, 5)]
     x_and_y += ["y%d%d" % (i, j) for i in range(1, 5) for j in range(1, 9)]
     u = ["u%d%d" % pair for pair in combinations(range(1, 9), 2)]
     assert list(spec.assignment) == x_and_y + u
-    entries = [e for m in (spec.xbar, spec.ybar) for row in elements(m) for e in row]
+    entries = [e for m in (xbar, ybar) for row in elements(m) for e in row]
     assert [spec.assignment[k] for k in x_and_y] == entries
     assert all(spec.assignment[k] == zero for k in u)
 
@@ -276,7 +281,7 @@ def test_symbolic_relations_equal_their_specialized_values(field, image):
     if image is not None:
         spec = with_u_sent_to(spec, image)
     xbar, ybar, _ = specialized_relations(spec.algebra, spec.assignment)
-    assert (xbar, ybar) == (spec.xbar, spec.ybar)
+    assert (xbar, ybar) == displayed_matrices(spec.algebra)
     assert_relations_substitute_to_their_specialized_values(data, spec.algebra, spec.assignment)
 
 
@@ -334,7 +339,7 @@ def test_rank_half_of_exactness_at_a_rational_point_of_spec_r(field):
     """
     data = build_generic_data(field)
     K, point = rational_point(field)
-    at_point = SpecializationData(K, point, xbar=None, ybar=None, module=None)
+    at_point = SpecializationData(point, free_module(K, 1))
     assert data.f.substitute(point, K) == K.basis_element(0)
     assert check_homomorphism(data, at_point).details == {"zero_count": 268, "total": 268}
     ranks = [
@@ -369,8 +374,7 @@ def test_full_report_builds_each_power_of_n_once(monkeypatch):
     spec = build_specialization(FIELD)
     n4 = spec.module_power(4)
     # a modified copy builds its own powers; the kept ones take no part in ==
-    zero = spec.algebra.zero()
-    copy = spec._replace(xbar=AlgebraMatrix(spec.algebra, [[zero] * 4] * 2))
+    copy = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.zero()})
     calls.clear()
     assert copy.module_power(4) is not n4
     assert copy.module_power(4) is copy.module_power(4)
@@ -385,12 +389,15 @@ def test_pd_witness(data, spec):
     assert result.details == {"xbar_in_radical": True, "x_zero_constant_terms": True}
 
 
+def with_x_sent_to_1(spec, *entries):
+    """``spec`` with x_ij sent to the unit for each 0-based (i, j) in ``entries``."""
+    one = spec.algebra.basis_element(0)
+    units = {"x%d%d" % (i + 1, j + 1): one for i, j in entries}
+    return spec._replace(assignment={**spec.assignment, **units})
+
+
 def test_pd_witness_fails_with_unit_entry(data, spec):
-    S = spec.algebra
-    rows = elements(spec.xbar)
-    rows[0][0] = S.basis_element(0)
-    corrupted = spec._replace(xbar=AlgebraMatrix(S, rows))
-    result = check_pd_witness(data, corrupted)
+    result = check_pd_witness(data, with_x_sent_to_1(spec, (0, 0)))
     assert not result.passed
     assert result.details["offender"] == "xbar[1,1]"
 
@@ -401,11 +408,7 @@ def test_pd_witness_fails_with_unit_entry(data, spec):
     ids=["row-2-col-4", "row-major"],
 )
 def test_pd_witness_names_the_first_unit_row_major(data, spec, units, offender):
-    S = spec.algebra
-    rows = elements(spec.xbar)
-    for i, j in units:
-        rows[i][j] = S.basis_element(0)
-    result = check_pd_witness(data, spec._replace(xbar=AlgebraMatrix(S, rows)))
+    result = check_pd_witness(data, with_x_sent_to_1(spec, *units))
     assert not result.passed
     assert result.details == {
         "offender": offender,
@@ -418,14 +421,26 @@ def test_pd_witness_rejects_a_constant_term_in_x(data, spec):
     table = data.x.table
     rows = [list(r) for r in data.x.entries]
     rows[1][2] = rows[1][2] + WeightedPoly.constant(table, 1)
-    result = check_pd_witness(data._replace(x=PolyMatrix(table, rows)), spec)
+    with_constant = data._replace(x=PolyMatrix(table, rows))
+    # under the bundled assignment the constant term is a unit of Xbar too
+    result = check_pd_witness(with_constant, spec)
+    assert result.details == {
+        "offender": "xbar[2,3]",
+        "x_zero_constant_terms": False,
+        "xbar_in_radical": False,
+    }
+    # with x23 sent to -1, Xbar[2,3] = 1 - 1 = 0, and only X shows the term
+    minus_one = spec.algebra.basis_element(0) * -1
+    cancelled = spec._replace(assignment={**spec.assignment, "x23": minus_one})
+    result = check_pd_witness(with_constant, cancelled)
     assert not result.passed
     assert result.details == {"xbar_in_radical": True, "x_zero_constant_terms": False}
 
 
 def test_pd_witness_zero_matrix_passes(data, spec):
-    corrupted = spec._replace(xbar=AlgebraMatrix(spec.algebra, [[spec.algebra.zero()] * 4] * 2))
-    assert check_pd_witness(data, corrupted).passed
+    zero = spec.algebra.zero()
+    x_to_zero = {k: zero if k[0] == "x" else v for k, v in spec.assignment.items()}
+    assert check_pd_witness(data, spec._replace(assignment=x_to_zero)).passed
 
 
 # -- Tor ------------------------------------------------------------------------
@@ -467,6 +482,7 @@ def test_linear_parts_of_the_induced_maps_give_the_tor_table(field):
     # that a p x q matrix induces kills (mN)^p and lands in (mN)^q: its rank is
     # that of its linear part (N/mN)^p -> (mN)^q, built here from the actions
     # of s and t on N and a basis of mN alone
+    data = build_generic_data(field)
     spec = build_specialization(field)
     S, N = spec.algebra, spec.module
     radical = N.radical_submodule()
@@ -501,7 +517,7 @@ def test_linear_parts_of_the_induced_maps_give_the_tor_table(field):
         ]
         return Matrix(field, rows)
 
-    lx, ly = linear_part(spec.xbar), linear_part(spec.ybar)
+    lx, ly = (linear_part(substitute_matrix(m, spec.assignment, S)) for m in (data.x, data.y))
     assert (lx.nrows, lx.ncols, ly.nrows, ly.ncols) == (4, 4, 8, 8)
     rank_x, rank_y = lx.rank(), ly.rank()
     assert (rank_x, rank_y) == (4, 8)
@@ -560,10 +576,7 @@ def test_full_report_field_independent(data, spec):
 
 
 def test_full_report_names_first_failure(data, spec):
-    S = spec.algebra
-    rows = elements(spec.ybar)
-    rows[0][0] = S.generator("t")
-    corrupted = spec._replace(ybar=AlgebraMatrix(S, rows))
+    corrupted = spec._replace(assignment={**spec.assignment, "y11": spec.algebra.generator("t")})
     report = full_report(FIELD, generic=data, specialization=corrupted)
     assert not report.overall_pass
     assert report.first_failure == "specialization_matrices"
@@ -572,15 +585,31 @@ def test_full_report_names_first_failure(data, spec):
 
 
 def test_narrower_stored_matrix_is_reported_as_a_shape_mismatch(data, spec):
-    # the stored matrix agrees with the displayed one on every shared entry
-    S = spec.algebra
-    s, t, zero = S.generator("s"), S.generator("t"), S.zero()
-    narrow = spec._replace(xbar=AlgebraMatrix(S, [[s, zero, t], [zero, s, zero]]))
-    report = full_report(FIELD, generic=data, specialization=narrow)
-    assert not report.overall_pass
+    # X without its last column substitutes to a matrix that agrees with the
+    # displayed Xbar on every shared entry; full_report would stop before the
+    # report, at the shape error of tor_from_resolution, so the check is run
+    narrow = data._replace(x=PolyMatrix(data.table, [row[:3] for row in data.x.entries]))
+    result = check_specialization_matrices(narrow, spec)
+    assert not result.passed
+    assert result.details == {
+        "xbar_matches": False,
+        "ybar_matches": True,
+        "offender": "xbar shape 2x3, expected 2x4",
+    }
+
+
+def test_a_changed_assignment_entry_fails_the_check_of_xbar(data, spec):
+    # Xbar is read through the assignment, the map Tor uses, so a changed
+    # image of x11 is named at its entry before the Tor table is reached
+    to_t = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.generator("t")})
+    report = full_report(FIELD, generic=data, specialization=to_t)
     assert report.first_failure == "specialization_matrices"
     failing = [c for c in report.checks if not c.passed]
-    assert failing[0].details["offender"] == "xbar shape 2x3, expected 2x4"
+    assert failing[0].details == {
+        "xbar_matches": False,
+        "ybar_matches": True,
+        "offender": "xbar[1,1]",
+    }
 
 
 def test_full_report_rejects_mixed_fields(data):

@@ -37,6 +37,8 @@ from torcheck.linalg import GF, QQ, Matrix, subspace_leq
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import full_report
 
+from polys import monomial
+
 DATA = files("torcheck").joinpath("data")
 
 
@@ -253,7 +255,7 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
         a, b = (S.element([rng.randrange(101) for _ in range(3)]) for _ in range(2))
         a * b * b - a + b
         p, q = (
-            WeightedPoly.monomial(table, {"x": 1}, rng.randrange(1, 101))
+            monomial(table, {"x": 1}, rng.randrange(1, 101))
             + WeightedPoly.constant(table, rng.randrange(101))
             for _ in range(2)
         )
@@ -270,7 +272,7 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
             p = WeightedPoly.constant(table, scalar())
             for _ in range(6):
                 exps = {n: rng.randrange(1, 4) for n in rng.sample(("a", "b", "c"), 2)}
-                p = p + WeightedPoly.monomial(table, exps, scalar())
+                p = p + monomial(table, exps, scalar())
             units = {n: S.element([rng.randrange(1, 101), scalar(), scalar()]) for n in "abc"}
             p.substitute(units, S)
     # the checks below build elements and matrices too
