@@ -457,15 +457,74 @@ def test_missing_arguments(capsys):
     assert rc == 2
 
 
+RES, MOD = data_path("resolution.json"), data_path("module.json")
+
+
 @pytest.mark.parametrize(
-    "command",
-    ["", "verify", "tor", "homology", "describe"],
-    ids=["top-level", "verify", "tor", "homology", "describe"],
+    "argv",
+    [
+        [],
+        ["verify", "--format", "xml"],
+        ["tor", RES, MOD, "--bogus"],
+        ["tor", RES, MOD, "extra"],
+        ["tor", RES, MOD, "--out"],
+        ["describe"],
+    ],
+    ids=["no-command", "bad-choice", "unknown-option", "extra-positional", "no-value", "no-file"],
 )
-def test_help_exits_zero_with_the_usage_on_stdout(capsys, command):
-    rc, out, err = run(capsys, *command.split(), "--help")
+def test_usage_errors_exit_two_with_the_usage_on_stderr(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: torcheck")
+    assert any("error:" in line for line in err.splitlines())
+
+
+IO_HELP = [("--format", None), ("--out", "output path (default: stdout)")]
+# each command's positionals and options with their help strings (None: no help)
+COMMAND_HELP = {
+    "": [("-h, --help", "show this help message and exit")]
+    + [
+        ("verify", "run the bundled verification battery"),
+        ("tor", "Tor lengths of a specialized resolution"),
+        ("homology", "homology of a complex of induced maps"),
+        ("describe", "summarize an input document"),
+    ],
+    "verify": [("--field", "coefficient field: q or fp:<p> (default fp:101)")] + IO_HELP,
+    "tor": [
+        ("resolution", "resolution-with-assignment JSON file"),
+        ("module", "module JSON file"),
+    ]
+    + IO_HELP,
+    "homology": [("complex", "complex JSON file")] + IO_HELP,
+    "describe": [("file", None)] + IO_HELP,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "--help"],
+        ["tor", "--help"],
+        ["homology", "--help"],
+        ["describe", "--help"],
+        ["tor", RES, MOD, "-h"],
+    ],
+    ids=["top-level", "verify", "tor", "homology", "describe", "tor-h-last"],
+)
+def test_help_exits_zero_with_the_usage_on_stdout(capsys, argv):
+    rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
-    assert out.startswith(" ".join(["usage: torcheck", *command.split(), "[-h]"]))
+    command = [] if argv[0] == "--help" else argv[:1]
+    assert out.startswith(" ".join(["usage: torcheck", *command, "[-h]"]))
+    lines = [" ".join(line.split()) for line in out.splitlines()]
+    for name, help_string in COMMAND_HELP[" ".join(command)]:
+        assert any(
+            line.startswith(name + " ") and line.endswith(" " + help_string)
+            if help_string
+            else line.split(" ")[0] == name
+            for line in lines
+        ), name
 
 
 @pytest.mark.parametrize(
