@@ -1,6 +1,8 @@
 """Command-line front end and the on-disk JSON schemas.
 
-Subcommands:
+Subcommands, parsed by ``main`` from the tables ``COMMANDS``, ``OPTIONS`` and
+``HELP`` rather than by ``argparse``, whose parser took about half of a
+benchmark op to build; each takes ``-h``/``--help``:
 
 * ``verify`` runs the bundled verification battery.
 * ``tor RESOLUTION MODULE`` specializes a symbolic resolution through its
@@ -23,10 +25,10 @@ that uses the trusted ``_raw`` constructors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .algebras import AlgebraElement, free_module, monomial_square_zero_algebra
 from .complexes import (
@@ -528,52 +530,109 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="torcheck",
-        description="Exact Tor and homology computations over Artinian local algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- command line ---------------------------------------------------------------
 
-    def add_io_flags(p):
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+# option -> (default, choices), with () for any value
+OPTIONS = {"--field": ("fp:101", ()), "--format": ("text", ("json", "text")), "--out": (None, ())}
+IO = ("--format", "--out")
+# command -> (function, positionals, options)
+COMMANDS = {
+    "verify": (cmd_verify, (), ("--field",) + IO),
+    "tor": (cmd_tor, ("resolution", "module"), IO),
+    "homology": (cmd_homology, ("complex",), IO),
+    "describe": (cmd_describe, ("file",), IO),
+}
+CHOICES = "{%s}" % ",".join(COMMANDS)
+# command, positional or option -> its help string
+HELP = {
+    "verify": "run the bundled verification battery",
+    "tor": "Tor lengths of a specialized resolution",
+    "homology": "homology of a complex of induced maps",
+    "describe": "summarize an input document",
+    "resolution": "resolution-with-assignment JSON file",
+    "module": "module JSON file",
+    "complex": "complex JSON file",
+    "-h": "show this help message and exit",
+    "--field": "coefficient field: q or fp:<p> (default fp:101)",
+    "--out": "output path (default: stdout)",
+}
+# each option as usage and help show it: the flag, then its choices or value name
+SHOWN = {
+    flag: "%s %s" % (flag, "{%s}" % ",".join(choices) if choices else flag[2:].upper())
+    for flag, (_, choices) in OPTIONS.items()
+}
+SHOWN["-h"] = "-h, --help"
 
-    p_verify = sub.add_parser("verify", help="run the bundled verification battery")
-    p_verify.add_argument(
-        "--field", default="fp:101", help="coefficient field: q or fp:<p> (default fp:101)"
-    )
-    add_io_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_tor = sub.add_parser("tor", help="Tor lengths of a specialized resolution")
-    p_tor.add_argument("resolution", help="resolution-with-assignment JSON file")
-    p_tor.add_argument("module", help="module JSON file")
-    add_io_flags(p_tor)
-    p_tor.set_defaults(func=cmd_tor)
+class UsageError(Exception):
+    """A command line that does not fit ``COMMANDS``; exit code 2, after the usage line."""
 
-    p_hom = sub.add_parser("homology", help="homology of a complex of induced maps")
-    p_hom.add_argument("complex", help="complex JSON file")
-    add_io_flags(p_hom)
-    p_hom.set_defaults(func=cmd_homology)
 
-    p_desc = sub.add_parser("describe", help="summarize an input document")
-    p_desc.add_argument("file")
-    add_io_flags(p_desc)
-    p_desc.set_defaults(func=cmd_describe)
+def usage(command):
+    """The usage line of ``torcheck``, or of ``torcheck <command>`` when one is given."""
+    if command is None:
+        return "usage: torcheck [-h] %s ...\n" % CHOICES
+    _, positionals, flags = COMMANDS[command]
+    words = [command, "[-h]"] + ["[%s]" % SHOWN[flag] for flag in flags] + list(positionals)
+    return "usage: torcheck %s\n" % " ".join(words)
 
-    return parser
+
+def help_text(command):
+    """The usage line, then each command, or each positional and option, with its help."""
+    if command is None:
+        head = usage(None) + "\nExact Tor and homology computations over Artinian local algebras.\n"
+        names = (*COMMANDS, "-h")
+    else:
+        _, positionals, flags = COMMANDS[command]
+        head, names = usage(command), positionals + ("-h",) + flags
+    rows = ("  %-22s%s" % (SHOWN.get(name, name), HELP.get(name, "")) for name in names)
+    return head + "\n" + "".join(row.rstrip() + "\n" for row in rows)
+
+
+def parse_args(command, argv):
+    """The arguments ``argv`` of ``command``: each option's value or default and
+    each positional, by name.  ``--opt value`` and ``--opt=value`` both set an
+    option, which is never abbreviated; every token after ``--`` is a positional."""
+    _, positionals, flags = COMMANDS[command]
+    args, values, tokens = {flag[2:]: OPTIONS[flag][0] for flag in flags}, [], iter(argv)
+    for token in tokens:
+        if token == "--":
+            values += tokens
+        elif not token.startswith("-"):
+            values.append(token)
+        else:
+            flag, equals, value = token.partition("=")
+            if flag not in flags:
+                raise UsageError("unrecognized argument %s" % token)
+            if not equals:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    raise UsageError("argument %s: expected a value" % flag)
+            choices = OPTIONS[flag][1]
+            if choices and value not in choices:
+                raise UsageError("argument %s: invalid choice: %r" % (flag, value))
+            args[flag[2:]] = value
+    if len(values) != len(positionals):
+        raise UsageError("expected %d positionals, got %d" % (len(positionals), len(values)))
+    args.update(zip(positionals, values))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run ``torcheck argv``, by default ``sys.argv[1:]``; returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if {"-h", "--help"} & set(argv[: argv.index("--")] if "--" in argv else argv):
+        sys.stdout.write(help_text(command))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching our contract
-        return 2 if exc.code else 0
-    try:
-        return args.func(args)
+        if command is None:
+            raise UsageError("unknown command %r" % argv[0] if argv else "no command given")
+        return COMMANDS[command][0](parse_args(command, argv[1:]))
+    except UsageError as exc:
+        prog = "torcheck" if command is None else "torcheck " + command
+        sys.stderr.write("%s%s: error: %s\n" % (usage(command), prog, exc))
+        return 2
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -31,17 +31,24 @@ def run(capsys, *argv):
 
 def test_cli_import_loads_no_code_generators():
     # every command pays for this import; the records are named tuples, so
-    # nothing generates classes through dataclasses, inspect or typing
+    # nothing generates classes through dataclasses, inspect or typing; and
+    # the command line is read without argparse, which a tor op would pay
+    # for with gettext, locale and shutil
     package_dir = str(Path(torcheck.__file__).parent.parent)
-    script = (
-        "import sys; sys.path.insert(0, %r); import torcheck.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
-        % package_dir
-    )
+    script = """if True:
+        import io, sys
+        sys.path.insert(0, %r)
+        import torcheck.cli
+        print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))
+        sys.stdout, stdout = io.StringIO(), sys.stdout
+        rc = torcheck.cli.main(['tor', %r, %r, '--format', 'json'])
+        sys.stdout = stdout
+        print(rc, *(m for m in ('argparse', 'gettext', 'locale', 'shutil') if m in sys.modules))
+    """ % (package_dir, data_path("resolution.json"), data_path("module.json"))
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, check=True
     ).stdout
-    assert out.split() == []
+    assert out.splitlines() == ["", "0"]
 
 
 # -- verify ------------------------------------------------------------------
@@ -525,6 +532,26 @@ def test_help_exits_zero_with_the_usage_on_stdout(capsys, argv):
             else line.split(" ")[0] == name
             for line in lines
         ), name
+
+
+def test_option_value_after_an_equals_sign(capsys):
+    spaced = run(capsys, "tor", RES, MOD, "--format", "json")
+    assert spaced[0] == 0
+    assert run(capsys, "tor", RES, MOD, "--format=json") == spaced
+
+
+def test_tokens_after_a_double_dash_are_positionals(tmp_path, monkeypatch, capsys):
+    (tmp_path / "-m.json").write_text(DATA.joinpath("module.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "tor", RES, "--", "-m.json") == run(capsys, "tor", RES, MOD)
+
+
+def test_abbreviated_options_are_usage_errors(capsys):
+    # argparse took "--form" for "--format"; options are now spelled out
+    rc, out, err = run(capsys, "tor", RES, MOD, "--form", "json")
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: torcheck tor")
+    assert "error: unrecognized argument --form" in err
 
 
 @pytest.mark.parametrize(
