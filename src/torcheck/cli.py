@@ -290,6 +290,8 @@ def load_json(path):
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from None
     except RecursionError:
         raise InputError("%s is nested too deeply to parse" % path) from None
+    except ValueError as exc:  # such as an integer literal past Python's digit limit
+        raise InputError("%s cannot be read: %s" % (path, exc)) from None
 
 
 def detect_kind(doc):

@@ -23,7 +23,11 @@ with non-vanishing in degree 2, which is the non-rigidity witness.
 Every finitely checkable claim in that story is run here as a named check;
 facts consumed from the literature (exactness of the symbolic complex over
 the determinantal base ring, completeness of the relation list) are reported
-as cited inputs rather than silently assumed.
+as cited inputs rather than silently assumed.  Each derived polynomial class
+has its label, degree, count and role in one table, ``DERIVED_CLASSES``, and
+each "measured equals expected" check is one call of :func:`compare`.
+:func:`full_report` takes only the field and builds both sides over it; a
+negative control calls the check functions directly on modified data.
 """
 
 from __future__ import annotations
@@ -37,18 +41,20 @@ from .linalg import same_span
 from .poly import PolyMatrix, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
-# forced weighted degree of each derived polynomial class, in check order
-EXPECTED_DEGREES = {"xy_entries": 5, "minors3": 9, "f": 4, "g": 6, "u_relations": 6}
-# the classes that are relation generators of R, in report order
-RELATION_CLASSES = ("xy_entries", "minors3", "u_relations")
 EXPECTED_BETTI = (8, 4, 2)
-# report label of a derived polynomial from its 1-based key, per class but minors3
-LABEL_FORMATS = {
-    "xy_entries": "xy[%d,%d]",
-    "f": "f",
-    "g": "g[%d,%d]",
-    "u_relations": "u_rel[%d,%d]",
+# each derived polynomial class in check order: its report label, formatted
+# from the 1-based key (a tuple part as its comma-joined indices), its forced
+# weighted degree, its count (f is not counted) and whether it is a relation
+# generator class of R
+DERIVED_CLASSES = {
+    "xy_entries": ("xy[%s,%s]", 5, 16, True),
+    "minors3": ("minor3[%s|%s]", 9, 224, True),
+    "f": ("f", 4, None, False),
+    "g": ("g[%s,%s]", 6, 28, False),
+    "u_relations": ("u_rel[%s,%s]", 6, 28, True),
 }
+# the classes that are relation generators of R, in report order
+RELATION_CLASSES = tuple(name for name, (*_, relation) in DERIVED_CLASSES.items() if relation)
 
 CITED_NOT_VERIFIED = (
     "exactness of the symbolic complex 0 -> R^2 -> R^4 -> R^8 over the "
@@ -86,21 +92,16 @@ class GenericComplexData(
         by class name, in report order.  The checks name an offender by
         :func:`relation_label`, so a passing check formats no label."""
         return {
-            "xy_entries": self.xy_entries,
-            "minors3": self.minors3,
-            "f": (((), self.f),),
-            "g": self.g,
-            "u_relations": self.u_relations,
+            name: (((), self.f),) if name == "f" else getattr(self, name)
+            for name in DERIVED_CLASSES
         }
 
 
 def relation_label(class_name, key) -> str:
     """Report label of the polynomial at ``key`` in a derived class, such as
     ``xy[1,2]``, ``minor3[1,2,3|1,2,4]``, ``f``, ``g[1,2]`` or ``u_rel[1,2]``."""
-    if class_name == "minors3":
-        rows, cols = key
-        return "minor3[%s|%s]" % (",".join(map(str, rows)), ",".join(map(str, cols)))
-    return LABEL_FORMATS[class_name] % key
+    parts = tuple(",".join(map(str, k)) if isinstance(k, tuple) else k for k in key)
+    return DERIVED_CLASSES[class_name][0] % parts
 
 
 class SpecializationData(namedtuple("SpecializationData", "assignment module")):
@@ -127,6 +128,11 @@ class SpecializationData(namedtuple("SpecializationData", "assignment module")):
 
 
 CheckResult = namedtuple("CheckResult", "name passed details")
+
+
+def compare(name, key, measured, expected) -> CheckResult:
+    """The check ``name``: ``measured`` equals ``expected``; both reported."""
+    return CheckResult(name, measured == expected, {key: measured, "expected": expected})
 
 
 class VerificationReport(
@@ -262,23 +268,18 @@ def build_specialization(field) -> SpecializationData:
 
 
 def check_counts(data: GenericComplexData) -> CheckResult:
-    counts = {
-        "xy_entries": len(data.xy_entries),
-        "minors3": len(data.minors3),
-        "g": len(data.g),
-        "u_relations": len(data.u_relations),
+    expected = {
+        name: count for name, (_, _, count, _) in DERIVED_CLASSES.items() if count is not None
     }
-    expected = {"xy_entries": 16, "minors3": 224, "g": 28, "u_relations": 28}
-    return CheckResult(
-        "generator_counts", counts == expected, {"counts": counts, "expected": expected}
-    )
+    counts = {name: len(getattr(data, name)) for name in expected}
+    return compare("generator_counts", "counts", counts, expected)
 
 
 def check_grading(data: GenericComplexData) -> CheckResult:
     """Every derived polynomial is homogeneous of its forced weighted degree."""
     classes = data.keyed_classes()
-    degrees = dict(EXPECTED_DEGREES)
-    for name, expected in EXPECTED_DEGREES.items():
+    degrees = {name: degree for name, (_, degree, _, _) in DERIVED_CLASSES.items()}
+    for name, expected in degrees.items():
         for key, p in classes[name]:
             if p.weighted_degree() != ("homogeneous", expected):
                 details = {"degrees": degrees, "offender": relation_label(name, key)}
@@ -340,9 +341,7 @@ def check_module_lengths(spec: SpecializationData) -> CheckResult:
         "N8": spec.module_power(8).length(),
     }
     expected = {"N": 3, "radical_N": 1, "N4": 12, "N8": 24}
-    return CheckResult(
-        "module_lengths", measured == expected, {"measured": measured, "expected": expected}
-    )
+    return compare("module_lengths", "measured", measured, expected)
 
 
 def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
@@ -383,21 +382,11 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
     the degree-2 kernel identity, the image identities and the Euler
     characteristic on the report's own complex of induced maps.  Returns
     ``(TorReport or None, list of CheckResult)``."""
-    N = spec.module
     try:
-        report = tor_from_resolution([data.x, data.y], spec.assignment, N)
+        report = tor_from_resolution([data.x, data.y], spec.assignment, spec.module)
     except NotAComplexError as exc:
         return None, [CheckResult("tor_table", False, {"error": str(exc)})]
-    checks = []
-    lengths = report.lengths()
-    tor_ok = lengths == EXPECTED_TOR and lengths[1] == 0 and lengths[2] != 0
-    checks.append(
-        CheckResult(
-            "tor_table",
-            tor_ok,
-            {"lengths": list(lengths), "expected": list(EXPECTED_TOR)},
-        )
-    )
+    checks = [compare("tor_table", "lengths", list(report.lengths()), list(EXPECTED_TOR))]
 
     fx, fy = report.complex.maps
     # N^2, N^4 and N^8 as modules, for their radicals and lengths
@@ -452,18 +441,15 @@ def betti_readout(data: GenericComplexData) -> tuple:
     return tuple(ranks)
 
 
-def full_report(field, generic=None, specialization=None) -> VerificationReport:
-    """Run the whole battery in order and collect a deterministic report.
+def full_report(field) -> VerificationReport:
+    """Run the whole battery in order over ``field``, on the generic data and
+    the specialization built over it, and collect a deterministic report.
 
-    ``generic`` and ``specialization`` default to the bundled constructions;
-    passing modified ones is how the negative-control tests exercise each
-    check's failure path.
+    The report's field label is the field every check ran over.  The negative
+    controls call the check functions directly on modified data.
     """
-    data = generic if generic is not None else build_generic_data(field)
-    spec = specialization if specialization is not None else build_specialization(field)
-    if data.table.field != spec.algebra.field:
-        raise ValueError("generic data and specialization use different fields")
-
+    data = build_generic_data(field)
+    spec = build_specialization(field)
     lengths_check = check_module_lengths(spec)
     checks = [
         check_counts(data),
@@ -476,15 +462,8 @@ def full_report(field, generic=None, specialization=None) -> VerificationReport:
     ]
     report, tor_checks = run_tor_checks(data, spec)
     checks.extend(tor_checks)
-
     betti = betti_readout(data)
-    checks.append(
-        CheckResult(
-            "betti_numbers",
-            betti == EXPECTED_BETTI,
-            {"measured": list(betti), "expected": list(EXPECTED_BETTI)},
-        )
-    )
+    checks.append(compare("betti_numbers", "measured", list(betti), list(EXPECTED_BETTI)))
 
     tor_table = {}
     if report is not None:

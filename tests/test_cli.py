@@ -461,6 +461,18 @@ def test_describe_deeply_nested_json(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("command", ["describe", "tor"])
+def test_number_past_the_int_digit_limit_is_an_input_error(capsys, command):
+    # json reads "free_rank" (5,000 nines) with int(), which refuses a literal
+    # longer than Python's 4,300-digit limit with a plain ValueError
+    path = str(FIXTURES / "huge_number.json")
+    argv = [command, path] + ([MOD] if command == "tor" else [])
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: %s cannot be read: " % path)
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_unknown_subcommand(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 2

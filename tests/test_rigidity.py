@@ -1,13 +1,16 @@
 import json
 import random
+from importlib.resources import files
 from itertools import combinations
 
 import pytest
 
 from torcheck.algebras import ArtinAlgebra, FDModule, free_module
+from torcheck.cli import load_json, parse_complex_doc, parse_module_doc, parse_resolution_doc
 from torcheck.complexes import AlgebraMatrix, substitute_matrix
-from torcheck.linalg import GF, QQ, Matrix
+from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+from torcheck import rigidity
 from torcheck.rigidity import (
     assemble_generic_data,
     betti_readout,
@@ -99,6 +102,34 @@ def test_module_lengths(spec):
     result = check_module_lengths(spec)
     assert result.passed
     assert result.details["measured"] == {"N": 3, "radical_N": 1, "N4": 12, "N8": 24}
+
+
+def test_bundled_documents_are_the_battery_construction(data, spec):
+    # tor, homology and describe read the bundled documents, verify builds
+    # the example; both must be the same example over GF(101)
+    data_dir = files("torcheck").joinpath("data")
+
+    def read(name):
+        return load_json(str(data_dir.joinpath(name)))
+
+    def by_name(t, p):
+        return {tuple((t.name_of(i), e) for i, e in key): c for key, c in p.terms.items()}
+
+    def entries(t, m):
+        return [[by_name(t, p) for p in row] for row in m.entries]
+
+    field, table, matrices, assignment = parse_resolution_doc(read("resolution.json"))
+    names = [(table.name_of(i), table.weight_of(i)) for i in range(len(table))]
+    ours = [(data.table.name_of(i), data.table.weight_of(i)) for i in range(len(data.table))]
+    assert field == FIELD and len(names) == 40 and names == ours[:40]
+    assert [entries(table, m) for m in matrices] == [entries(data.table, m) for m in (data.x, data.y)]
+    images = {k: list(e.coords) for k, e in spec.assignment.items() if k[0] in "xy"}
+    assert assignment == images
+    _, algebra, module = parse_module_doc(read("module.json"))
+    assert algebra == spec.algebra and module.actions == spec.module.actions
+    _, algebra, _, maps = parse_complex_doc(read("complex.json"))
+    displayed = displayed_matrices(spec.algebra)
+    assert algebra == spec.algebra and [m.stack for m in maps] == [m.stack for m in displayed]
 
 
 # -- grading ------------------------------------------------------------------
@@ -533,8 +564,8 @@ def test_betti_readout(data):
 # -- full report -------------------------------------------------------------------
 
 
-def test_full_report_passes(data, spec):
-    report = full_report(FIELD, generic=data, specialization=spec)
+def test_full_report_passes():
+    report = full_report(FIELD)
     assert report.overall_pass
     assert report.first_failure is None
     assert report.tor == {0: 16, 1: 0, 2: 2}
@@ -561,23 +592,24 @@ def test_full_report_passes(data, spec):
     ]
 
 
-def test_full_report_deterministic(data, spec):
-    a = full_report(FIELD, generic=data, specialization=spec)
+def test_full_report_deterministic():
+    a = full_report(FIELD)
     b = full_report(FIELD)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
-def test_full_report_field_independent(data, spec):
+def test_full_report_field_independent():
     over_q = full_report(QQ).to_dict()
-    over_p = full_report(FIELD, generic=data, specialization=spec).to_dict()
+    over_p = full_report(FIELD).to_dict()
     assert over_q.pop("field") == "q"
     assert over_p.pop("field") == "fp:101"
     assert over_q == over_p
 
 
-def test_full_report_names_first_failure(data, spec):
+def test_full_report_names_first_failure(spec, monkeypatch):
     corrupted = spec._replace(assignment={**spec.assignment, "y11": spec.algebra.generator("t")})
-    report = full_report(FIELD, generic=data, specialization=corrupted)
+    monkeypatch.setattr(rigidity, "build_specialization", lambda field: corrupted)
+    report = full_report(FIELD)
     assert not report.overall_pass
     assert report.first_failure == "specialization_matrices"
     failing = [c for c in report.checks if not c.passed]
@@ -598,11 +630,12 @@ def test_narrower_stored_matrix_is_reported_as_a_shape_mismatch(data, spec):
     }
 
 
-def test_a_changed_assignment_entry_fails_the_check_of_xbar(data, spec):
+def test_a_changed_assignment_entry_fails_the_check_of_xbar(spec, monkeypatch):
     # Xbar is read through the assignment, the map Tor uses, so a changed
     # image of x11 is named at its entry before the Tor table is reached
     to_t = spec._replace(assignment={**spec.assignment, "x11": spec.algebra.generator("t")})
-    report = full_report(FIELD, generic=data, specialization=to_t)
+    monkeypatch.setattr(rigidity, "build_specialization", lambda field: to_t)
+    report = full_report(FIELD)
     assert report.first_failure == "specialization_matrices"
     failing = [c for c in report.checks if not c.passed]
     assert failing[0].details == {
@@ -612,12 +645,15 @@ def test_a_changed_assignment_entry_fails_the_check_of_xbar(data, spec):
     }
 
 
-def test_full_report_rejects_mixed_fields(data):
-    with pytest.raises(ValueError, match="different fields"):
-        full_report(FIELD, generic=data, specialization=build_specialization(QQ))
+def test_full_report_rejects_mixed_fields(monkeypatch):
+    # both pieces are built from the one field; a pair over two fields, put
+    # in from outside, stops at substitution's own field check
+    monkeypatch.setattr(rigidity, "build_specialization", lambda field: build_specialization(QQ))
+    with pytest.raises(FieldMismatchError):
+        full_report(FIELD)
 
 
-def test_euler_characteristic_arithmetic(data, spec):
-    report = full_report(FIELD, generic=data, specialization=spec)
+def test_euler_characteristic_arithmetic():
+    report = full_report(FIELD)
     tor = report.tor
     assert tor[0] - tor[1] + tor[2] == 18 == 24 - 12 + 6
