@@ -83,7 +83,16 @@ MAX_EXPONENT = 1024
 def check_limit(value, limit, what):
     """Input error unless ``value`` is at most ``limit``; ``what`` names the field."""
     if value > limit:
-        raise InputError("%s is %d; at most %d is supported" % (what, value, limit))
+        raise InputError("%s is %s; at most %d is supported" % (what, _readable(value), limit))
+
+
+def _readable(n):
+    """The non-negative int ``n`` in decimal, or past 64 bits its approximate
+    number of digits: ``str`` refuses an int longer than the interpreter's
+    digit limit, and a line is no place for thousands of digits."""
+    if n.bit_length() <= 64:
+        return "%d" % n
+    return "<about %d digits>" % ((n.bit_length() - 1) * 30103 // 100000 + 1)
 
 
 # -- field / scalar parsing ------------------------------------------------
@@ -166,7 +175,8 @@ def parse_coords(algebra, obj, where):
 def parse_rank(algebra, obj, key):
     """The free rank under ``module.<key>``, its free module within the size limit."""
     rank = parse_int(obj[key], 0, '"module.%s" must be a non-negative integer' % key)
-    check_limit(algebra.dim * rank, MAX_MODULE_DIM, '"module.%s": dimension of S^%d' % (key, rank))
+    what = '"module.%s": dimension of S^%s' % (key, _readable(rank))
+    check_limit(algebra.dim * rank, MAX_MODULE_DIM, what)
     return rank
 
 

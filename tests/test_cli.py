@@ -473,6 +473,23 @@ def test_number_past_the_int_digit_limit_is_an_input_error(capsys, command):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("nines", [4300, 4299])
+def test_over_limit_number_is_named_by_its_length(tmp_path, capsys, nines):
+    # the dimension 3 * rank has one digit more than the rank: at 4,300 nines
+    # str() refuses it, at 4,299 it would write both numbers out in full
+    path = FIXTURES / "over_limit_rank.json"
+    if nines != 4300:
+        path = tmp_path / "rank.json"
+        text = (FIXTURES / "over_limit_rank.json").read_text()
+        path.write_text(text.replace("9" * 4300, "9" * nines))
+    rc, out, err = run(capsys, "describe", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        'error: "module.free_rank": dimension of S^<about %d digits> is <about %d digits>;'
+        " at most 128 is supported\n" % (nines, nines + 1)
+    )
+
+
 def test_unknown_subcommand(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 2

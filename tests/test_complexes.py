@@ -12,7 +12,7 @@ from torcheck.algebras import (
     free_module,
     monomial_square_zero_algebra,
 )
-from torcheck.cli import parse_module_doc, parse_resolution_doc
+from torcheck.cli import parse_complex_doc, parse_module_doc, parse_resolution_doc
 from torcheck.complexes import (
     AlgebraMatrix,
     ChainComplex,
@@ -150,6 +150,59 @@ def test_block_operator_places_block_k_i_from_grid_entry_i_k(field):
             got = block_operator(field, M.actions, stack, d)
             assert (got.nrows, got.ncols) == (q * d, p * d)
             assert got == Matrix(field, _ref_blocks(M.actions, grid, q, d), ncols=p * d)
+
+
+def test_block_operator_over_q_sums_fractions_exactly_into_int_entries():
+    # block_operator needs no module axioms, so the operators here are random
+    # K-matrices; layers 1 and 2 act alike, so a cell (c, h, -h) adds c times
+    # layer 0 and the Fraction terms of h and -h cancel
+    rng = random.Random(53)
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    d = 3
+
+    def operator(values):
+        return Matrix(QQ, [[rng.choice(values) for _ in range(d)] for _ in range(d)])
+
+    for values in ((0, 0, 1, -3, 5), (0, 0, 1, -2, half, third, Fraction(5, 6))):
+        actions = [operator(values), operator(values)]
+        actions.append(actions[1])
+        for p, q in ((2, 2), (3, 1), (1, 3)):
+            grid = [
+                [
+                    (rng.choice((0, 1, half)), h, -h)
+                    for h in (rng.choice((0, 2, half, third)) for _ in range(q))
+                ]
+                for _ in range(p)
+            ]
+            grid[0][0] = (0, half, -half)  # a block that cancels to zero
+            stack = [
+                Matrix(QQ, [[c[l] for c in row] for row in grid], q) for l in range(3)
+            ]
+            got = block_operator(QQ, actions, stack, d)
+            assert got == Matrix(QQ, _ref_blocks(actions, grid, q, d), ncols=p * d)
+            assert not any(v for r in got.entries[:d] for v in r[:d])
+            integral = [v for r in got.entries for v in r if Fraction(v).denominator == 1]
+            assert {type(v) for v in integral} == {int}
+
+
+def test_induced_maps_over_q_make_no_fraction_arithmetic(monkeypatch):
+    # the sums are taken on ints, and each entry is divided once at the end
+    doc = json.loads((TESTS / "fixtures" / "bench_dense_complex.json").read_text())
+    _, _, module, maps = parse_complex_doc(doc)
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+
+        def counting(a, b, method=method, name=name):
+            calls.append(name)
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    induced = [induced_map(a, module) for a in maps]
+    monkeypatch.undo()
+    assert [(f.nrows, f.ncols) for f in induced] == [(24, 48), (12, 24), (6, 12), (3, 6)]
+    assert any(type(v) is Fraction for f in induced for r in f.entries for v in r)
+    assert calls == []
 
 
 @FIELDS
