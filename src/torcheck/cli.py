@@ -78,6 +78,8 @@ MAX_MAP_DIM = 1024
 # F_101 and 0.05 s over Q at 32 (rational coordinates grow to about 1700
 # digits), in process time on one core of a 2-CPU machine.
 MAX_EXPONENT = 1024
+# GF's own message, for a characteristic too long to write out
+CHARACTERISTIC_RANGE = "prime field characteristic must be an integer in [2, 2^31); got %s"
 
 
 def check_limit(value, limit, what):
@@ -87,12 +89,12 @@ def check_limit(value, limit, what):
 
 
 def _readable(n):
-    """The non-negative int ``n`` in decimal, or past 64 bits its approximate
+    """The int ``n`` in decimal, or past 64 bits its sign and approximate
     number of digits: ``str`` refuses an int longer than the interpreter's
     digit limit, and a line is no place for thousands of digits."""
     if n.bit_length() <= 64:
         return "%d" % n
-    return "<about %d digits>" % ((n.bit_length() - 1) * 30103 // 100000 + 1)
+    return "%s<about %d digits>" % ("-" * (n < 0), (n.bit_length() - 1) * 30103 // 100000 + 1)
 
 
 # -- field / scalar parsing ------------------------------------------------
@@ -103,9 +105,12 @@ def parse_field_flag(text):
     if text == "q":
         return QQ
     if text.startswith("fp:"):
+        digits = text[3:]
         try:
-            p = int(text[3:])
+            p = int(digits)
         except ValueError:
+            if digits.isascii() and digits.isdigit():  # past the interpreter's digit limit
+                raise InputError(CHARACTERISTIC_RANGE % ("<%d digits>" % len(digits))) from None
             raise InputError("bad field flag %r" % text) from None
         return parse_field_spec({"fp": p})
     raise InputError("bad field flag %r (expected q or fp:<p>)" % text)
@@ -116,8 +121,11 @@ def parse_field_spec(obj):
     if obj == "q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"fp"}:
+        p = obj["fp"]
+        if isinstance(p, int) and p.bit_length() > 64:
+            raise InputError(CHARACTERISTIC_RANGE % _readable(p))
         try:
-            return GF(obj["fp"])
+            return GF(p)
         except ValueError as exc:
             raise InputError(str(exc)) from None
     raise InputError('bad "field" value %r (expected "q" or {"fp": p})' % (obj,))

@@ -29,7 +29,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import FieldMismatchError, Matrix, ShapeError, dense_product
+from .linalg import Matrix, ShapeError, dense_product
+from .poly import Substitution
 
 
 class NotAComplexError(ValueError):
@@ -136,23 +137,20 @@ def check_chain(matrices, what):
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
     """Entrywise polynomial substitution into the algebra, written straight
-    into the coefficient stack.  Raises
+    into the coefficient stack by one :class:`~torcheck.poly.Substitution`,
+    so the entries share their images, powers and monomial values.  Raises
     :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
     algebra have one field, checked once per matrix, so a matrix with no
     non-zero entry is checked too.  Only the non-zero entries are
     substituted and written; a zero entry is zero in every layer."""
-    if m.table.field != algebra.field:
-        raise FieldMismatchError(
-            "polynomial over %r substituted into an algebra over %r"
-            % (m.table.field, algebra.field)
-        )
+    substitution = Substitution(m.table, assignment, algebra)
     layers = [[[0] * m.ncols for _ in range(m.nrows)] for _ in range(algebra.dim)]
     for i, row in enumerate(m.entries):
         for j, p in enumerate(row):
             # a polynomial is zero exactly when it has no terms; reading the
             # dict spares a method call on each of a resolution's many zeros
             if p.terms:
-                for layer, c in zip(layers, p.substitute(assignment, algebra).coords):
+                for layer, c in zip(layers, substitution(p).coords):
                     layer[i][j] = c
     return AlgebraMatrix._raw(algebra, (Matrix._raw(algebra.field, x, m.ncols) for x in layers))
 
@@ -272,25 +270,45 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
     ``resolution`` lists the differentials of ``0 -> R^a --d_k--> ... --d_1-->
     R^z`` left to right as polynomial matrices with chaining shapes; it must
     hold at least one.  Each is specialized once through ``assignment`` into
-    the module's algebra, induced on powers of ``module``, and the homology of
-    the resulting complex is returned with degree 0 at the cokernel end.
-    The resolution and the module must have one field: substitution raises
-    :class:`~torcheck.linalg.FieldMismatchError` otherwise.
-
-    Consecutive specialized matrices must multiply to zero in the algebra
-    (substitution is a ring homomorphism, so this is the symbolic composite
-    substituted); otherwise :class:`NotAComplexError` reports which composite
-    and which entry, the first non-zero in row-major order, failed.
+    the module's algebra, and :func:`tor_from_specialized` takes Tor of the
+    specialized matrices.  The resolution and the module must have one
+    field: substitution raises :class:`~torcheck.linalg.FieldMismatchError`
+    otherwise.
     """
     resolution = list(resolution)
-    if not resolution:
-        raise ValueError("a resolution needs at least one matrix")
-    check_chain(resolution, "resolution matrices")
+    _check_resolution(resolution)
     specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
+    return tor_from_specialized(specialized, module)
+
+
+def tor_from_specialized(matrices, module) -> TorReport:
+    """Tor against ``module`` of the complex ``0 -> S^a --d_k--> ... -->
+    S^z`` whose differentials ``matrices`` lists left to right as
+    :class:`AlgebraMatrix` objects over the module's algebra, with chaining
+    shapes; it must hold at least one.  Each is induced on powers of
+    ``module``, and the homology of the resulting complex is returned with
+    degree 0 at the cokernel end.
+
+    Consecutive matrices must multiply to zero in the algebra (for a
+    specialized resolution, substitution is a ring homomorphism, so this is
+    the symbolic composite substituted); otherwise :class:`NotAComplexError`
+    reports which composite and which entry, the first non-zero in
+    row-major order, failed.
+    """
+    matrices = list(matrices)
+    _check_resolution(matrices)
     what = "composite of resolution matrices %d and %d substitutes to a nonzero element"
-    for i in range(len(specialized) - 1):
-        _check_composite(specialized[i] @ specialized[i + 1], i, what)
+    for i in range(len(matrices) - 1):
+        _check_composite(matrices[i] @ matrices[i + 1], i, what)
     # induced_map(a @ b) == induced_map(b) @ induced_map(a), so the induced
     # composites vanish too and are not multiplied out again
-    cx = ChainComplex._raw(induced_map(a, module) for a in specialized)
+    cx = ChainComplex._raw(induced_map(a, module) for a in matrices)
     return TorReport(tuple(reversed(cx.homology())), cx)
+
+
+def _check_resolution(matrices):
+    """Raise unless the list ``matrices`` holds at least one matrix and its
+    shapes chain."""
+    if not matrices:
+        raise ValueError("a resolution needs at least one matrix")
+    check_chain(matrices, "resolution matrices")

@@ -9,20 +9,25 @@ for input, output and substitution.
 Coefficients are exact field values from :mod:`torcheck.linalg`.  Sums,
 products, minors and parsed polynomials share one accumulator,
 :func:`sum_terms`, which adds ``(monomial, coefficient)`` pairs up in one dict
-and reduces each sum once.  A :class:`PolyMatrix` is a
+and reduces each sum once.  A monomial key is a sorted tuple of (variable
+index, exponent) pairs, so when every index of one factor is below every index
+of the other, the product's key is the two keys concatenated; only other pairs
+are merged exponent by exponent.  A :class:`PolyMatrix` is a
 :class:`~torcheck.linalg.DenseMatrix` over a table: its public constructor
 checks that each entry from outside uses the table, and products, generic
 matrices and parsed matrices are built by the trusted ``_raw``.
 
-Substitution into an :class:`~torcheck.algebras.ArtinAlgebra` needs one
-field for both: it raises :class:`~torcheck.linalg.FieldMismatchError`
-otherwise, once per call, and then uses each coefficient as stored.  It works
-on coordinate vectors through the algebra's one coordinate product, takes each
-power of an image once and builds one element per call.  Minors are expanded
-along their first row: the signed products of the cofactors go to one
-:func:`sum_terms` call, so a minor builds no intermediate polynomial, and the
-minors of the rows below are cached for one :meth:`PolyMatrix.all_minors`
-call, so each smaller minor is built once.
+A :class:`Substitution` is the map from the polynomials over one table into
+one :class:`~torcheck.algebras.ArtinAlgebra` that an assignment of images to
+variables defines.  It needs one field for both, checked once when it is
+built; it then uses each coefficient as stored.  It works on coordinate
+vectors through the algebra's one coordinate product, looks each image up
+once, takes each power of an image once and values each monomial once, for
+every polynomial it is applied to, and builds one element per polynomial.
+Minors are expanded along their first row: the signed products of the
+cofactors go to one :func:`sum_terms` call, so a minor builds no intermediate
+polynomial, and the minors of the rows below are cached for one
+:meth:`PolyMatrix.all_minors` call, so each smaller minor is built once.
 """
 
 from __future__ import annotations
@@ -62,9 +67,6 @@ class VarTable:
     def name_of(self, idx: int) -> str:
         return self._names[idx]
 
-    def weight_of(self, idx: int) -> int:
-        return self._weights[idx]
-
     def __contains__(self, name):
         return name in self._index
 
@@ -85,27 +87,31 @@ def sum_terms(table, pairs):
     return WeightedPoly(table, {key: r for key, c in acc.items() if (r := reduce(c))})
 
 
+def _key_product(ka, kb):
+    """The key of the product of the monomials with keys ``ka`` and ``kb``:
+    the two keys concatenated when every index of one is below every index of
+    the other, else their exponents merged per index."""
+    if not ka or not kb:
+        return ka or kb
+    if ka[-1][0] < kb[0][0]:
+        return ka + kb
+    if kb[-1][0] < ka[0][0]:
+        return kb + ka
+    exps = dict(ka)
+    for idx, e in kb:
+        exps[idx] = exps.get(idx, 0) + e
+    return tuple(sorted(exps.items()))
+
+
 def _product_terms(a, b, sign=1):
-    """The ``(key, coeff)`` pairs of the term-by-term product of the
+    """The list of ``(key, coeff)`` pairs of the term-by-term product of the
     polynomials ``a`` and ``b``, each coefficient times ``sign``."""
+    right = list(b.terms.items())
+    out = []
     for ka, ca in a.terms.items():
         ca *= sign
-        for kb, cb in b.terms.items():
-            exps = dict(ka)
-            for idx, e in kb:
-                exps[idx] = exps.get(idx, 0) + e
-            yield tuple(sorted(exps.items())), ca * cb
-
-
-def _image_coords(name, assignment, algebra):
-    """Coordinates of the image of variable ``name`` under ``assignment``."""
-    try:
-        image = assignment[name]
-    except KeyError:
-        raise ValueError("no image assigned for variable %r" % name) from None
-    if not isinstance(image, AlgebraElement) or image.algebra != algebra:
-        raise ValueError("image of variable %r is not an element of the algebra" % name)
-    return image.coords
+        out += [(_key_product(ka, kb), ca * cb) for kb, cb in right]
+    return out
 
 
 def _coordinate_power(algebra, base, exp):
@@ -120,6 +126,87 @@ def _coordinate_power(algebra, base, exp):
         if exp:
             base = algebra.coordinate_product(base, base)
     return result
+
+
+class Substitution:
+    """The evaluation of the polynomials over ``table`` in ``algebra`` that
+    sends each variable to its image under ``assignment``, a mapping from
+    variable names to elements of ``algebra``.  Being defined on generators,
+    it is a ring homomorphism by construction.
+
+    Building one raises :class:`~torcheck.linalg.FieldMismatchError` unless
+    the table and the algebra have one field; the coefficients are then used
+    as stored.  Calling it on a polynomial over ``table`` returns the image
+    element, and raises ``ValueError`` for a polynomial over another table,
+    or if a variable occurring in the polynomial has no image, or an image
+    that is not an element of ``algebra``.
+
+    The work is shared by every polynomial it is called on: each image is
+    looked up and checked once, each power of an image is taken once, by
+    repeated squaring, and each monomial is valued once, as a chain of
+    :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls, one
+    power at a time, that stops once the running product vanishes.  A
+    polynomial adds each monomial's coefficient times its value
+    coordinatewise.  The assignment is read as it is when an image is first
+    needed, so it must not change while the substitution is in use.
+    """
+
+    __slots__ = ("table", "assignment", "algebra", "_powers", "_values", "_zero")
+
+    def __init__(self, table, assignment, algebra):
+        if table.field != algebra.field:
+            raise FieldMismatchError(
+                "polynomial over %r substituted into an algebra over %r"
+                % (table.field, algebra.field)
+            )
+        self.table, self.assignment, self.algebra = table, assignment, algebra
+        self._zero = (0,) * algebra.dim  # the one value of every vanishing monomial
+        self._powers = {}  # (variable index, exponent) -> coordinates of that power of its image
+        self._values = {(): (1,) + self._zero[1:]}  # monomial key -> coordinates of its value
+
+    def __call__(self, p) -> AlgebraElement:
+        if p.table is not self.table:
+            raise ValueError("polynomial uses another variable table than the substitution")
+        values, zero = self._values, self._zero
+        acc = [0] * self.algebra.dim
+        for key, coeff in p.terms.items():
+            value = values.get(key)
+            if value is None:
+                value = values[key] = self._value(key)
+            if value is not zero:
+                for k, v in enumerate(value):
+                    if v:
+                        acc[k] += coeff * v
+        return AlgebraElement(self.algebra, map(self.algebra.field.reduce, acc))
+
+    def _value(self, key):
+        """Coordinates of the value of the monomial with ``key``, or the
+        shared zero."""
+        algebra, powers = self.algebra, self._powers
+        # every image of the monomial is resolved before the products, so a
+        # missing variable raises even after a factor that vanishes
+        for idx, _ in key:
+            if (idx, 1) not in powers:
+                powers[idx, 1] = self._image(self.table.name_of(idx))
+        value = None
+        for idx, exp in key:
+            power = powers.get((idx, exp))
+            if power is None:
+                power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
+            value = power if value is None else algebra.coordinate_product(value, power)
+            if not any(value):
+                return self._zero
+        return value
+
+    def _image(self, name):
+        """Coordinates of the image of the variable ``name``."""
+        try:
+            image = self.assignment[name]
+        except KeyError:
+            raise ValueError("no image assigned for variable %r" % name) from None
+        if not isinstance(image, AlgebraElement) or image.algebra != self.algebra:
+            raise ValueError("image of variable %r is not an element of the algebra" % name)
+        return image.coords
 
 
 class WeightedPoly:
@@ -210,9 +297,8 @@ class WeightedPoly:
         """
         if not self.terms:
             return ("zero", None)
-        degrees = {
-            sum(self.table.weight_of(idx) * e for idx, e in key) for key in self.terms
-        }
+        weights = self.table._weights
+        degrees = {sum([weights[idx] * e for idx, e in key]) for key in self.terms}
         if len(degrees) == 1:
             return ("homogeneous", degrees.pop())
         return ("inhomogeneous", None)
@@ -221,54 +307,15 @@ class WeightedPoly:
         """Minimum over terms of the number of variable factors (with multiplicity)."""
         if not self.terms:
             raise ValueError("zero polynomial has no factor count")
-        return min(sum(e for _, e in key) for key in self.terms)
+        return min(sum([e for _, e in key]) for key in self.terms)
 
     def substitute(self, assignment, algebra):
-        """Evaluate by sending each variable to its assigned algebra element.
-
-        ``assignment`` maps variable names to elements of ``algebra``.  Being
-        defined on generators, the evaluation is a ring homomorphism by
-        construction.  Raises :class:`~torcheck.linalg.FieldMismatchError`
-        unless the polynomial and ``algebra`` have one field, checked once;
-        the coefficients are then used as stored.  Raises ``ValueError`` if a
-        variable occurring in the polynomial has no image, or an image that
-        is not an element of ``algebra``.
-
-        The arithmetic is on coordinate vectors, and one element is built per
-        call.  Each variable's image is looked up once, and each power of an
-        image is taken once, by repeated squaring.  A monomial is a chain of
-        :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls, one
-        power at a time; the chain stops once the running product vanishes.
-        The monomial's coefficient times its value is added coordinatewise.
-        """
-        if self.table.field != algebra.field:
-            raise FieldMismatchError(
-                "polynomial over %r substituted into an algebra over %r"
-                % (self.table.field, algebra.field)
-            )
-        powers = {}  # (variable index, exponent) -> coordinates of that power of its image
-        acc = [0] * algebra.dim
-        for key, coeff in self.terms.items():
-            # every image of the monomial is resolved before the products, so
-            # a missing variable raises even after a factor that vanishes
-            for idx, _ in key:
-                if (idx, 1) not in powers:
-                    powers[idx, 1] = _image_coords(self.table.name_of(idx), assignment, algebra)
-            value = None
-            for idx, exp in key:
-                power = powers.get((idx, exp))
-                if power is None:
-                    power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
-                value = power if value is None else algebra.coordinate_product(value, power)
-                if not any(value):
-                    break
-            if value is None:
-                value = (1,) + (0,) * (algebra.dim - 1)
-            if any(value):
-                for k, v in enumerate(value):
-                    if v:
-                        acc[k] += coeff * v
-        return AlgebraElement(algebra, map(algebra.field.reduce, acc))
+        """Evaluate by sending each variable to its assigned algebra element:
+        ``Substitution(self.table, assignment, algebra)(self)``, with the
+        errors of :class:`Substitution`.  To evaluate many polynomials under
+        one assignment, build one :class:`Substitution` and call it on each,
+        so that images, powers and monomial values are shared."""
+        return Substitution(self.table, assignment, algebra)(self)
 
     def __repr__(self):
         if not self.terms:

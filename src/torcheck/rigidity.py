@@ -15,7 +15,7 @@ that sends the generic entries to the displayed radical matrices
 and every u to 0; the assignment is a ring homomorphism because every
 relation lies in the square of the generator ideal and rad(S)^2 = 0.  The
 assignment is the one stored record of that map: the checks get Xbar and
-Ybar by substituting X and Y through it, as Tor does.  The
+Ybar by substituting X and Y through it once, and take Tor of them.  The
 module N = S^2/((t,0), (0,s), (s,t))S has length 3, and the homology of
 0 -> N^2 -> N^4 -> N^8 gives the Tor table (16, 0, 2): vanishing in degree 1
 with non-vanishing in degree 2, which is the non-rigidity witness.
@@ -36,9 +36,9 @@ from collections import namedtuple
 from itertools import combinations
 
 from .algebras import FDModule, free_module, monomial_square_zero_algebra
-from .complexes import AlgebraMatrix, NotAComplexError, substitute_matrix, tor_from_resolution
+from .complexes import AlgebraMatrix, NotAComplexError, substitute_matrix, tor_from_specialized
 from .linalg import same_span
-from .poly import PolyMatrix, VarTable, WeightedPoly
+from .poly import PolyMatrix, Substitution, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
 EXPECTED_BETTI = (8, 4, 2)
@@ -107,11 +107,12 @@ def relation_label(class_name, key) -> str:
 class SpecializationData(namedtuple("SpecializationData", "assignment module")):
     """The specialized side: the assignment, the one record of R -> S, and N.
 
-    Xbar and Ybar are X and Y substituted through the assignment.
-    :meth:`module_power` builds each power N^k once and keeps it in the
-    instance dict, so the length check and the Tor checks of one report share
-    them.  The kept powers take no part in ``==`` or ``repr``, and a modified
-    copy made by ``spec._replace(...)`` builds its own.
+    Xbar and Ybar are X and Y substituted through the assignment
+    (:meth:`specialized`).  It and :meth:`module_power` build each
+    specialized matrix and each power N^k once and keep it in the instance
+    dict, so the checks of one report share them.  The kept values take no
+    part in ``==`` or ``repr``, and a modified copy made by
+    ``spec._replace(...)`` builds its own.
     """
 
     @property
@@ -125,6 +126,15 @@ class SpecializationData(namedtuple("SpecializationData", "assignment module")):
         if k not in powers:
             powers[k] = self.module.direct_sum_power(k)
         return powers[k]
+
+    def specialized(self, m) -> AlgebraMatrix:
+        """The polynomial matrix ``m`` substituted through :attr:`assignment`
+        into S, as Tor substitutes it; kept per matrix object, which the entry
+        holds so that its ``id`` is not reused."""
+        kept = vars(self).setdefault("substituted", {})
+        if id(m) not in kept:
+            kept[id(m)] = (m, substitute_matrix(m, self.assignment, self.algebra))
+        return kept[id(m)][1]
 
 
 CheckResult = namedtuple("CheckResult", "name passed details")
@@ -314,7 +324,7 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
 def check_specialization_matrices(data: GenericComplexData, spec: SpecializationData):
     """X and Y substituted through the assignment, as Tor substitutes them,
     equal the displayed Xbar and Ybar entry for entry."""
-    bars = [substitute_matrix(m, spec.assignment, spec.algebra) for m in (data.x, data.y)]
+    bars = [spec.specialized(m) for m in (data.x, data.y)]
     compared = list(zip(("xbar", "ybar"), bars, displayed_matrices(spec.algebra)))
     details = {"%s_matches" % label: got == want for label, got, want in compared}
     for label, got, want in compared:
@@ -346,14 +356,16 @@ def check_module_lengths(spec: SpecializationData) -> CheckResult:
 
 def check_homomorphism(data: GenericComplexData, spec: SpecializationData) -> CheckResult:
     """All 268 listed relations substitute to zero, so the generator
-    assignment extends to a ring homomorphism of the presented algebra."""
+    assignment extends to a ring homomorphism of the presented algebra.  One
+    :class:`~torcheck.poly.Substitution` values them all."""
+    substitution = Substitution(data.table, spec.assignment, spec.algebra)
     classes = data.keyed_classes()
     zero_count = total = 0
     offender = None
     for name in RELATION_CLASSES:
         for key, p in classes[name]:
             total += 1
-            if not p.substitute(spec.assignment, spec.algebra):
+            if not substitution(p):
                 zero_count += 1
             elif offender is None:
                 offender = relation_label(name, key)
@@ -368,7 +380,7 @@ def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> Chec
     lies in the radical and every entry of X has zero constant term, so the
     first map of the resolution cannot split off.  Xbar is X substituted as
     Tor substitutes it; modulo the maximal ideal it is its stack's layer 0."""
-    xbar = substitute_matrix(data.x, spec.assignment, spec.algebra)
+    xbar = spec.specialized(data.x)
     unit = xbar.stack[0].first_nonzero()
     symbolic_ok = not any(p.constant_term() for row in data.x.entries for p in row)
     details = {"xbar_in_radical": unit is None, "x_zero_constant_terms": symbolic_ok}
@@ -378,12 +390,12 @@ def check_pd_witness(data: GenericComplexData, spec: SpecializationData) -> Chec
 
 
 def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
-    """Specialize the resolution, compute Tor, and check the homology table,
+    """Take Tor of the specialized resolution, and check the homology table,
     the degree-2 kernel identity, the image identities and the Euler
     characteristic on the report's own complex of induced maps.  Returns
     ``(TorReport or None, list of CheckResult)``."""
     try:
-        report = tor_from_resolution([data.x, data.y], spec.assignment, spec.module)
+        report = tor_from_specialized([spec.specialized(m) for m in (data.x, data.y)], spec.module)
     except NotAComplexError as exc:
         return None, [CheckResult("tor_table", False, {"error": str(exc)})]
     checks = [compare("tor_table", "lengths", list(report.lengths()), list(EXPECTED_TOR))]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import torcheck
-from torcheck import cli
+from torcheck import cli, complexes, poly, rigidity
 from torcheck.cli import main, parse_poly
 from torcheck.linalg import GF, QQ
 from torcheck.poly import VarTable, WeightedPoly
@@ -856,3 +856,49 @@ def test_used_variable_scan_tests_no_polynomial(monkeypatch):
     _, _, _, assignment = cli.parse_resolution_doc(doc)
     assert calls == []
     assert len(assignment) == 2
+
+
+def test_oversized_characteristic_flag_is_named_by_its_digit_count(capsys):
+    # past the interpreter's digit limit int() cannot read the flag at all
+    for digits in (5000, 400):
+        rc, out, err = run(capsys, "verify", "--field", "fp:" + "9" * digits)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("error: prime field characteristic must be an integer")
+        assert "digits>" in err
+
+
+def test_oversized_characteristic_in_a_document_is_named_by_its_digit_count(tmp_path, capsys):
+    doc = json.loads(Path(MOD).read_text(encoding="utf-8"))
+    path = tmp_path / "module.json"
+    for p in (10**3999 * 9, -(10**3999) * 9):
+        doc["field"] = {"fp": p}
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "describe", str(path))
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.endswith("got %s<about 4000 digits>\n" % ("-" * (p < 0)))
+
+
+def test_verify_substitutes_x_and_y_once(monkeypatch, capsys):
+    # the battery reads Xbar and Ybar from one substitution each, and values
+    # the 268 relations through one shared Substitution
+    matrices, builds = [], []
+    substitute_matrix = complexes.substitute_matrix
+
+    def counting(m, *args):
+        matrices.append(m)
+        return substitute_matrix(m, *args)
+
+    for module in (complexes, rigidity):
+        monkeypatch.setattr(module, "substitute_matrix", counting)
+    init = poly.Substitution.__init__
+    monkeypatch.setattr(
+        poly.Substitution, "__init__", lambda sub, *args: builds.append(1) or init(sub, *args)
+    )
+    for field in ("fp:101", "q"):
+        matrices.clear(), builds.clear()
+        rc, out, _ = run(capsys, "verify", "--field", field, "--format", "json")
+        assert rc == 0 and json.loads(out)["tor"] == {"0": 16, "1": 0, "2": 2}
+        assert [(m.nrows, m.ncols) for m in matrices] == [(2, 4), (4, 8)]
+        assert len(builds) == 3

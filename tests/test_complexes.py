@@ -23,7 +23,7 @@ from torcheck.complexes import (
     tor_from_resolution,
 )
 from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, ShapeError, same_span
-from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly
 from torcheck.rigidity import build_generic_data, build_specialization
 
 from polys import monomial
@@ -469,9 +469,9 @@ def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
     # the residue-field resolution has 2,730 entries, of which 126 are non-zero
     matrices, assignment, module = residue_scene()
     calls = []
-    substitute = WeightedPoly.substitute
+    substitute = Substitution.__call__
     monkeypatch.setattr(
-        WeightedPoly, "substitute", lambda p, *args: calls.append(p) or substitute(p, *args)
+        Substitution, "__call__", lambda sub, p: calls.append(p) or substitute(sub, p)
     )
     report = tor_from_resolution(matrices, assignment, module)
     assert sum(len(m.entries) * m.ncols for m in matrices) == 2730

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from torcheck.algebras import ArtinAlgebra, monomial_square_zero_algebra
 from torcheck.cli import MAX_EXPONENT
 from torcheck.linalg import GF, QQ, FieldMismatchError
-from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
+from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly, _key_product
 
 from polys import monomial as mono
 
@@ -621,3 +621,105 @@ def test_substitute_takes_each_power_once(monkeypatch, field):
     monkeypatch.setattr(ArtinAlgebra, "coordinate_product", counting)
     assert p.substitute(assignment, S) == S.element([0] + [2**MAX_EXPONENT] * 32)
     assert len(products) == 10 + 32
+
+
+# -- shared substitution and key products -----------------------------------------
+
+
+def merged_key(ka, kb):
+    """Reference monomial product: exponents summed per index, then sorted."""
+    exps = Counter()
+    for idx, e in ka + kb:
+        exps[idx] += e
+    return tuple(sorted(exps.items()))
+
+
+def test_key_product_matches_the_general_merge():
+    rng = random.Random(27)
+    keys = [()]
+    for _ in range(200):
+        indices = sorted(rng.sample(range(8), rng.randint(1, 4)))
+        keys.append(tuple((idx, rng.randint(1, 3)) for idx in indices))
+    disjoint = overlapping = 0
+    for ka in keys:
+        for kb in rng.sample(keys, 20) + [(), ka]:
+            assert _key_product(ka, kb) == merged_key(ka, kb)
+            assert _key_product(kb, ka) == merged_key(ka, kb)
+            shared = {i for i, _ in ka} & {i for i, _ in kb}
+            disjoint += not shared
+            overlapping += bool(shared)
+    assert disjoint and overlapping
+
+
+def random_polys(rng, table, field, count):
+    """``count`` polynomials in the table's variables, with exponents up to 5,
+    constant terms and coefficients that may be fractions over Q."""
+    names = [table.name_of(i) for i in range(len(table))]
+    polys = []
+    for _ in range(count):
+        p = WeightedPoly.zero(table)
+        for _ in range(rng.randint(0, 5)):
+            exps = {v: rng.randint(1, 5) for v in rng.sample(names, rng.randint(0, 3))}
+            coeff = rng.randint(-150, 150)
+            if field == QQ and rng.random() < 0.3:
+                coeff = Fraction(coeff, rng.randint(1, 9))
+            p = p + mono(table, exps, coeff)
+        polys.append(p)
+    return polys
+
+
+@pytest.mark.parametrize("field", SUB_FIELDS, ids=["fp101", "fp2", "q"])
+@pytest.mark.parametrize("make", SUB_ALGEBRAS, ids=["square_zero", "truncated_line"])
+def test_one_shared_substitution_matches_fresh_and_reference_ones(field, make):
+    rng = random.Random(101)
+    algebra = make(field)
+    table = VarTable(field)
+    for name in ("a", "b", "c", "d"):
+        table.add_var(name, 1)
+    radical = algebra.basis_element(1)  # s or u: a product of enough of them vanishes
+    assignment = {
+        "a": radical,
+        "b": algebra.element([0] + [rng.randint(-9, 9) for _ in range(algebra.dim - 1)]),
+        "c": algebra.element([rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(algebra.dim - 1)]),
+        "d": algebra.zero(),
+    }
+    polys = random_polys(rng, table, field, 120)
+    assert any(p.constant_term() for p in polys)
+    assert any(e > 1 for p in polys for key in p.terms for _, e in key)
+    shared = Substitution(table, assignment, algebra)
+    for p in polys + polys:  # the second pass reads warm caches
+        got = shared(p)
+        assert got.algebra is algebra
+        assert got == p.substitute(assignment, algebra) == substitute_by_elements(p, assignment, algebra)
+    vanishing = mono(table, {"a": 2, "b": 1})
+    assert not shared(vanishing) and not substitute_by_elements(vanishing, assignment, algebra)
+
+
+def test_substitution_rejects_a_polynomial_over_another_table():
+    S = square_zero_st(GF(101))
+    tables = [VarTable(GF(101)) for _ in range(2)]
+    for table in tables:
+        table.add_var("a", 1)
+    shared = Substitution(tables[0], {"a": S.generator("s")}, S)
+    assert shared(WeightedPoly.variable(tables[0], "a")) == S.generator("s")
+    with pytest.raises(ValueError, match="another variable table"):
+        shared(WeightedPoly.variable(tables[1], "a"))
+    with pytest.raises(ValueError, match="another variable table"):
+        shared(WeightedPoly.zero(tables[1]))
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
+def test_warm_substitution_still_resolves_every_image(field):
+    # a and a*b are valued first, so a's image is known and a*b is zero; a*c
+    # is a new monomial, and its missing c raises although a's factor is zero
+    S = square_zero_st(field)
+    table = VarTable(field)
+    for name in ("a", "b", "c"):
+        table.add_var(name, 1)
+    shared = Substitution(table, {"a": S.zero(), "b": S.generator("s")}, S)
+    assert not shared(mono(table, {"a": 1}) + mono(table, {"a": 1, "b": 1}))
+    with pytest.raises(ValueError, match="no image assigned for variable 'c'"):
+        shared(mono(table, {"a": 1, "c": 1}))
+    with pytest.raises(ValueError, match="no image assigned for variable 'c'"):
+        shared(mono(table, {"a": 1, "c": 1}))
+    assert shared(mono(table, {"b": 1}, 3)) == 3 * S.generator("s")

@@ -119,8 +119,8 @@ def test_bundled_documents_are_the_battery_construction(data, spec):
         return [[by_name(t, p) for p in row] for row in m.entries]
 
     field, table, matrices, assignment = parse_resolution_doc(read("resolution.json"))
-    names = [(table.name_of(i), table.weight_of(i)) for i in range(len(table))]
-    ours = [(data.table.name_of(i), data.table.weight_of(i)) for i in range(len(data.table))]
+    names = [(table.name_of(i), table._weights[i]) for i in range(len(table))]
+    ours = [(data.table.name_of(i), data.table._weights[i]) for i in range(len(data.table))]
     assert field == FIELD and len(names) == 40 and names == ours[:40]
     assert [entries(table, m) for m in matrices] == [entries(data.table, m) for m in (data.x, data.y)]
     images = {k: list(e.coords) for k, e in spec.assignment.items() if k[0] in "xy"}
