@@ -138,7 +138,7 @@ def check_chain(matrices, what):
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
     """Entrywise polynomial substitution into the algebra, written straight
     into the coefficient stack by one :class:`~torcheck.poly.Substitution`,
-    so the entries share their images, powers and monomial values.  Raises
+    so the entries share their images and the powers of them.  Raises
     :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
     algebra have one field, checked once per matrix, so a matrix with no
     non-zero entry is checked too.  Only the non-zero entries are

@@ -101,6 +101,20 @@ class RationalField:
         return "QQ"
 
 
+def readable(value) -> str:
+    """``repr(value)`` for an error line, except that an int past 64 bits is
+    written as its sign and approximate number of digits, and a text of over
+    100 characters as its length: ``repr`` refuses an int longer than the
+    interpreter's digit limit, and a line is no place for thousands of
+    characters."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        digits = (value.bit_length() - 1) * 30103 // 100000 + 1
+        return "%s<about %d digits>" % ("-" * (value < 0), digits)
+    if isinstance(value, str) and len(value) > 100:
+        return "<%d characters>" % len(value)
+    return repr(value)
+
+
 class PrimeField:
     """The prime field F_p for a word-size prime p.  Values are ``int``
     residues in [0, p) with Python's ``+ - *``, false exactly when zero;
@@ -108,7 +122,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p < 2**31):
-            raise ValueError("prime field characteristic must be an integer in [2, 2^31); got %r" % (p,))
+            raise ValueError("prime field characteristic must be an integer in [2, 2^31); got %s" % readable(p))
         if not _is_prime(p):
             raise ValueError("%d is not prime" % p)
         self.p = p

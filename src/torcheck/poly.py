@@ -22,8 +22,8 @@ one :class:`~torcheck.algebras.ArtinAlgebra` that an assignment of images to
 variables defines.  It needs one field for both, checked once when it is
 built; it then uses each coefficient as stored.  It works on coordinate
 vectors through the algebra's one coordinate product, looks each image up
-once, takes each power of an image once and values each monomial once, for
-every polynomial it is applied to, and builds one element per polynomial.
+once and takes each power of an image once, for every polynomial it is
+applied to, and builds one element per polynomial.
 Minors are expanded along their first row: the signed products of the
 cofactors go to one :func:`sum_terms` call, so a minor builds no intermediate
 polynomial, and the minors of the rows below are cached for one
@@ -141,17 +141,17 @@ class Substitution:
     or if a variable occurring in the polynomial has no image, or an image
     that is not an element of ``algebra``.
 
-    The work is shared by every polynomial it is called on: each image is
-    looked up and checked once, each power of an image is taken once, by
-    repeated squaring, and each monomial is valued once, as a chain of
+    The images and their powers are shared by every polynomial it is called
+    on: each image is looked up and checked once, and each power of an image
+    is taken once, by repeated squaring.  A monomial is valued as a chain of
     :meth:`~torcheck.algebras.ArtinAlgebra.coordinate_product` calls, one
-    power at a time, that stops once the running product vanishes.  A
+    power at a time, that stops once the running product vanishes, and a
     polynomial adds each monomial's coefficient times its value
     coordinatewise.  The assignment is read as it is when an image is first
     needed, so it must not change while the substitution is in use.
     """
 
-    __slots__ = ("table", "assignment", "algebra", "_powers", "_values", "_zero")
+    __slots__ = ("table", "assignment", "algebra", "_powers")
 
     def __init__(self, table, assignment, algebra):
         if table.field != algebra.field:
@@ -160,43 +160,33 @@ class Substitution:
                 % (table.field, algebra.field)
             )
         self.table, self.assignment, self.algebra = table, assignment, algebra
-        self._zero = (0,) * algebra.dim  # the one value of every vanishing monomial
         self._powers = {}  # (variable index, exponent) -> coordinates of that power of its image
-        self._values = {(): (1,) + self._zero[1:]}  # monomial key -> coordinates of its value
 
     def __call__(self, p) -> AlgebraElement:
         if p.table is not self.table:
             raise ValueError("polynomial uses another variable table than the substitution")
-        values, zero = self._values, self._zero
-        acc = [0] * self.algebra.dim
-        for key, coeff in p.terms.items():
-            value = values.get(key)
-            if value is None:
-                value = values[key] = self._value(key)
-            if value is not zero:
-                for k, v in enumerate(value):
-                    if v:
-                        acc[k] += coeff * v
-        return AlgebraElement(self.algebra, map(self.algebra.field.reduce, acc))
-
-    def _value(self, key):
-        """Coordinates of the value of the monomial with ``key``, or the
-        shared zero."""
         algebra, powers = self.algebra, self._powers
-        # every image of the monomial is resolved before the products, so a
-        # missing variable raises even after a factor that vanishes
-        for idx, _ in key:
-            if (idx, 1) not in powers:
-                powers[idx, 1] = self._image(self.table.name_of(idx))
-        value = None
-        for idx, exp in key:
-            power = powers.get((idx, exp))
-            if power is None:
-                power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
-            value = power if value is None else algebra.coordinate_product(value, power)
-            if not any(value):
-                return self._zero
-        return value
+        acc = [0] * algebra.dim
+        for key, coeff in p.terms.items():
+            # every image of the monomial is resolved before the products, so
+            # a missing variable raises even after a factor that vanishes
+            for idx, _ in key:
+                if (idx, 1) not in powers:
+                    powers[idx, 1] = self._image(self.table.name_of(idx))
+            value = None
+            for idx, exp in key:
+                power = powers.get((idx, exp))
+                if power is None:
+                    power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
+                value = power if value is None else algebra.coordinate_product(value, power)
+                if not any(value):
+                    break
+            if value is None:
+                value = (1,) + (0,) * (algebra.dim - 1)
+            for k, v in enumerate(value):
+                if v:
+                    acc[k] += coeff * v
+        return AlgebraElement(algebra, map(algebra.field.reduce, acc))
 
     def _image(self, name):
         """Coordinates of the image of the variable ``name``."""
@@ -314,7 +304,7 @@ class WeightedPoly:
         ``Substitution(self.table, assignment, algebra)(self)``, with the
         errors of :class:`Substitution`.  To evaluate many polynomials under
         one assignment, build one :class:`Substitution` and call it on each,
-        so that images, powers and monomial values are shared."""
+        so that the images and their powers are shared."""
         return Substitution(self.table, assignment, algebra)(self)
 
     def __repr__(self):

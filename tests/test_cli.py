@@ -858,26 +858,38 @@ def test_used_variable_scan_tests_no_polynomial(monkeypatch):
     assert len(assignment) == 2
 
 
-def test_oversized_characteristic_flag_is_named_by_its_digit_count(capsys):
-    # past the interpreter's digit limit int() cannot read the flag at all
-    for digits in (5000, 400):
-        rc, out, err = run(capsys, "verify", "--field", "fp:" + "9" * digits)
+def test_oversized_field_flag_is_named_by_its_length(capsys):
+    # past the interpreter's digit limit int() cannot read the flag at all, so
+    # the flag is named by its length; below it the value by its digit count
+    for flag, shown in (
+        ("fp:" + "9" * 5000, "bad field flag <5003 characters>"),
+        ("fp:-" + "9" * 5000, "bad field flag <5004 characters>"),
+        ("fp:+" + "9" * 5000, "bad field flag <5004 characters>"),
+        ("fp:" + "x" * 5000, "bad field flag <5003 characters>"),
+        ("z" * 5000, "bad field flag <5000 characters> (expected q or fp:<p>)"),
+        ("fp:" + "9" * 400, "got <about 400 digits>"),
+        ("fp:-" + "9" * 400, "got -<about 400 digits>"),
+    ):
+        rc, out, err = run(capsys, "verify", "--field", flag)
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200
-        assert err.startswith("error: prime field characteristic must be an integer")
-        assert "digits>" in err
+        assert err.endswith(shown + "\n")
 
 
-def test_oversized_characteristic_in_a_document_is_named_by_its_digit_count(tmp_path, capsys):
+def test_oversized_characteristic_in_a_document_is_named_by_its_size(tmp_path, capsys):
     doc = json.loads(Path(MOD).read_text(encoding="utf-8"))
     path = tmp_path / "module.json"
-    for p in (10**3999 * 9, -(10**3999) * 9):
+    for p, shown in (
+        (10**3999 * 9, "<about 4000 digits>"),
+        (-(10**3999) * 9, "-<about 4000 digits>"),
+        ("9" * 4000, "<4000 characters>"),
+    ):
         doc["field"] = {"fp": p}
         path.write_text(json.dumps(doc))
         rc, out, err = run(capsys, "describe", str(path))
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200
-        assert err.endswith("got %s<about 4000 digits>\n" % ("-" * (p < 0)))
+        assert err.endswith("got %s\n" % shown)
 
 
 def test_verify_substitutes_x_and_y_once(monkeypatch, capsys):

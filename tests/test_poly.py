@@ -687,7 +687,7 @@ def test_one_shared_substitution_matches_fresh_and_reference_ones(field, make):
     assert any(p.constant_term() for p in polys)
     assert any(e > 1 for p in polys for key in p.terms for _, e in key)
     shared = Substitution(table, assignment, algebra)
-    for p in polys + polys:  # the second pass reads warm caches
+    for p in polys + polys:  # the second pass reads the images and powers kept
         got = shared(p)
         assert got.algebra is algebra
         assert got == p.substitute(assignment, algebra) == substitute_by_elements(p, assignment, algebra)
@@ -710,8 +710,8 @@ def test_substitution_rejects_a_polynomial_over_another_table():
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=["fp101", "q"])
 def test_warm_substitution_still_resolves_every_image(field):
-    # a and a*b are valued first, so a's image is known and a*b is zero; a*c
-    # is a new monomial, and its missing c raises although a's factor is zero
+    # a and a*b are valued first, so a's image is already kept and a*b is
+    # zero; the missing c of a*c raises although a's factor is zero
     S = square_zero_st(field)
     table = VarTable(field)
     for name in ("a", "b", "c"):
