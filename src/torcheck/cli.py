@@ -111,7 +111,7 @@ def parse_field_spec(obj):
             return GF(obj["fp"])
         except ValueError as exc:
             raise InputError(str(exc)) from None
-    raise InputError('bad "field" value %r (expected "q" or {"fp": p})' % (obj,))
+    raise InputError('bad "field" value %s (expected "q" or {"fp": p})' % readable(obj))
 
 
 def parse_int(obj, minimum, message):

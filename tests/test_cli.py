@@ -890,6 +890,11 @@ def test_oversized_characteristic_in_a_document_is_named_by_its_size(tmp_path, c
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200
         assert err.endswith("got %s\n" % shown)
+    doc["field"] = "q" * 4000
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "describe", str(path))
+    assert (rc, out) == (2, "")
+    assert err == 'error: bad "field" value <4000 characters> (expected "q" or {"fp": p})\n'
 
 
 def test_verify_substitutes_x_and_y_once(monkeypatch, capsys):
