@@ -1,8 +1,7 @@
 """Command-line front end and the on-disk JSON schemas.
 
 Subcommands, parsed by ``main`` from the tables ``COMMANDS``, ``OPTIONS`` and
-``HELP`` rather than by ``argparse``, whose parser took about half of a
-benchmark op to build; each takes ``-h``/``--help``:
+``HELP``; each takes ``-h``/``--help``:
 
 * ``verify`` runs the bundled verification battery.
 * ``tor RESOLUTION MODULE`` specializes a symbolic resolution through its
@@ -124,11 +123,11 @@ def parse_int(obj, minimum, message):
 
 def parse_scalar(field, obj, where):
     if not isinstance(obj, str):
-        raise InputError("%s: scalars must be strings, got %r" % (where, obj))
+        raise InputError("%s: scalars must be strings, got %s" % (where, readable(obj)))
     try:
         return field.parse(obj)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("%s: bad scalar %r (%s)" % (where, obj, exc)) from None
+        raise InputError("%s: bad scalar %s (%s)" % (where, readable(obj), exc)) from None
 
 
 # -- document pieces ---------------------------------------------------------
@@ -248,8 +247,8 @@ def parse_poly(table, obj, where):
         exps = {}
         for name, exp in monomial.items():
             if name not in table:
-                raise InputError("%s: unknown variable %r" % (where, name))
-            what = "%s: exponent of %r" % (where, name)
+                raise InputError("%s: unknown variable %s" % (where, readable(name)))
+            what = "%s: exponent of %s" % (where, readable(name))
             exp = parse_int(exp, 1, "%s must be a positive integer" % what)
             check_limit(exp, MAX_EXPONENT, what)
             exps[table.index_of(name)] = exp
@@ -348,18 +347,17 @@ def parse_resolution_doc(doc):
     # an element's length is the dimension of the module's algebra, which tor checks
     assignment = {}
     for name, value in assignment_json.items():
-        where = "assignment[%r]" % name
+        where = "assignment[%s]" % readable(name)
         if not isinstance(value, list):
             raise InputError("%s: an algebra element must be a list of coefficient strings" % where)
         assignment[name] = [parse_scalar(field, c, where) for c in value]
     entries = (p for m in matrices for row in m.entries for p in row if p.terms)
     used = {table.name_of(i) for p in entries for i in p.variables_used()}
-    missing = sorted(used - set(assignment))
-    if missing:
-        raise InputError("assignment misses variables: %s" % ", ".join(missing))
-    stray = sorted(name for name in assignment if name not in table)
-    if stray:
-        raise InputError("assignment names undeclared variables: %s" % ", ".join(stray))
+    stray = {name for name in assignment if name not in table}
+    for what, names in (("misses", used - set(assignment)), ("names undeclared", stray)):
+        if names:
+            shown = (n if len(n) <= 100 else readable(n) for n in sorted(names))
+            raise InputError("assignment %s variables: %s" % (what, ", ".join(shown)))
     return field, table, matrices, assignment
 
 
@@ -458,7 +456,9 @@ def cmd_tor(args) -> int:
         raise InputError("resolution and module use different fields")
     check_map_sizes(matrices, module, "matrices")
     assignment = {
-        name: AlgebraElement(algebra, element_length(algebra, values, "assignment[%r]" % name))
+        name: AlgebraElement(
+            algebra, element_length(algebra, values, "assignment[%s]" % readable(name))
+        )
         for name, values in coords.items()
     }
     try:

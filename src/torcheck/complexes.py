@@ -14,8 +14,10 @@ must not be mixed with this one.  Its one owner is
 
 A length over a local algebra with residue field K is a K-dimension, so a
 complex of induced maps is its list of K-matrices and its homology is read
-from their ranks.  The powers N^k are built as modules only where their
-module structure is asked about (radicals, in :mod:`torcheck.rigidity`).
+from their ranks.  A list of differentials for Tor is checked (non-empty,
+chaining shapes) in one place, :func:`tor_from_specialized`.  The powers
+N^k are built as modules only where their module structure is asked about
+(radicals, in :mod:`torcheck.rigidity`).
 
 An :class:`AlgebraMatrix` is its coefficient stack, one K-matrix per basis
 element, and a composite is taken by the structure constants.  Its public
@@ -136,23 +138,17 @@ def check_chain(matrices, what):
 
 
 def substitute_matrix(m, assignment, algebra) -> AlgebraMatrix:
-    """Entrywise polynomial substitution into the algebra, written straight
-    into the coefficient stack by one :class:`~torcheck.poly.Substitution`,
-    so the entries share their images and the powers of them.  Raises
-    :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and the
-    algebra have one field, checked once per matrix, so a matrix with no
-    non-zero entry is checked too.  Only the non-zero entries are
-    substituted and written; a zero entry is zero in every layer."""
+    """Entrywise polynomial substitution into the algebra by one
+    :class:`~torcheck.poly.Substitution`, so the entries share their images
+    and the powers of them, split into layers by ``coefficient_stack``.
+    Raises :class:`~torcheck.linalg.FieldMismatchError` unless the matrix and
+    the algebra have one field, checked once per matrix, so a matrix with no
+    non-zero entry is checked too.  A zero entry is not substituted."""
     substitution = Substitution(m.table, assignment, algebra)
-    layers = [[[0] * m.ncols for _ in range(m.nrows)] for _ in range(algebra.dim)]
-    for i, row in enumerate(m.entries):
-        for j, p in enumerate(row):
-            # a polynomial is zero exactly when it has no terms; reading the
-            # dict spares a method call on each of a resolution's many zeros
-            if p.terms:
-                for layer, c in zip(layers, substitution(p).coords):
-                    layer[i][j] = c
-    return AlgebraMatrix._raw(algebra, (Matrix._raw(algebra.field, x, m.ncols) for x in layers))
+    zero = (0,) * algebra.dim
+    # a zero polynomial has no terms: no method call for a resolution's many zeros
+    grid = [[substitution(p).coords if p.terms else zero for p in row] for row in m.entries]
+    return AlgebraMatrix._raw(algebra, algebra.coefficient_stack(grid, m.ncols))
 
 
 def check_module_map(source: FDModule, target: FDModule, matrix: Matrix):
@@ -268,26 +264,26 @@ def tor_from_resolution(resolution, assignment, module) -> TorReport:
     """Tor of the module presented by a free resolution against ``module``.
 
     ``resolution`` lists the differentials of ``0 -> R^a --d_k--> ... --d_1-->
-    R^z`` left to right as polynomial matrices with chaining shapes; it must
-    hold at least one.  Each is specialized once through ``assignment`` into
-    the module's algebra, and :func:`tor_from_specialized` takes Tor of the
-    specialized matrices.  The resolution and the module must have one
-    field: substitution raises :class:`~torcheck.linalg.FieldMismatchError`
-    otherwise.
+    R^z`` left to right as polynomial matrices.  Each is specialized once
+    through ``assignment`` into the module's algebra, and
+    :func:`tor_from_specialized` checks the specialized list and takes Tor of
+    it.  The resolution and the module must have one field: substitution
+    raises :class:`~torcheck.linalg.FieldMismatchError` otherwise, before
+    any shape is checked.
     """
-    resolution = list(resolution)
-    _check_resolution(resolution)
-    specialized = [substitute_matrix(m, assignment, module.algebra) for m in resolution]
-    return tor_from_specialized(specialized, module)
+    return tor_from_specialized(
+        [substitute_matrix(m, assignment, module.algebra) for m in resolution], module
+    )
 
 
 def tor_from_specialized(matrices, module) -> TorReport:
     """Tor against ``module`` of the complex ``0 -> S^a --d_k--> ... -->
     S^z`` whose differentials ``matrices`` lists left to right as
-    :class:`AlgebraMatrix` objects over the module's algebra, with chaining
-    shapes; it must hold at least one.  Each is induced on powers of
-    ``module``, and the homology of the resulting complex is returned with
-    degree 0 at the cokernel end.
+    :class:`AlgebraMatrix` objects over the module's algebra.  The list is
+    checked here, and only here: it must hold at least one matrix, and their
+    shapes must chain.  Each is induced on powers of ``module``, and the
+    homology of the resulting complex is returned with degree 0 at the
+    cokernel end.
 
     Consecutive matrices must multiply to zero in the algebra (for a
     specialized resolution, substitution is a ring homomorphism, so this is
@@ -296,7 +292,9 @@ def tor_from_specialized(matrices, module) -> TorReport:
     row-major order, failed.
     """
     matrices = list(matrices)
-    _check_resolution(matrices)
+    if not matrices:
+        raise ValueError("a resolution needs at least one matrix")
+    check_chain(matrices, "resolution matrices")
     what = "composite of resolution matrices %d and %d substitutes to a nonzero element"
     for i in range(len(matrices) - 1):
         _check_composite(matrices[i] @ matrices[i + 1], i, what)
@@ -304,11 +302,3 @@ def tor_from_specialized(matrices, module) -> TorReport:
     # composites vanish too and are not multiplied out again
     cx = ChainComplex._raw(induced_map(a, module) for a in matrices)
     return TorReport(tuple(reversed(cx.homology())), cx)
-
-
-def _check_resolution(matrices):
-    """Raise unless the list ``matrices`` holds at least one matrix and its
-    shapes chain."""
-    if not matrices:
-        raise ValueError("a resolution needs at least one matrix")
-    check_chain(matrices, "resolution matrices")

@@ -102,17 +102,24 @@ class RationalField:
 
 
 def readable(value) -> str:
-    """``repr(value)`` for an error line, except that an int past 64 bits is
-    written as its sign and approximate number of digits, and a text of over
-    100 characters as its length: ``repr`` refuses an int longer than the
+    """``repr(value)`` for an error line, except that a value whose ``repr``
+    would be over 100 characters is named by its size: an int past 64 bits
+    by its sign and approximate number of digits, a text by its length, a
+    list or dict by its type and length, anything else by its type and the
+    length of its ``repr``.  ``repr`` refuses an int longer than the
     interpreter's digit limit, and a line is no place for thousands of
     characters."""
     if isinstance(value, int) and value.bit_length() > 64:
         digits = (value.bit_length() - 1) * 30103 // 100000 + 1
         return "%s<about %d digits>" % ("-" * (value < 0), digits)
-    if isinstance(value, str) and len(value) > 100:
+    text = repr(value)
+    if len(text) <= 100:
+        return text
+    if isinstance(value, str):
         return "<%d characters>" % len(value)
-    return repr(value)
+    if isinstance(value, (list, dict)):
+        return "<%s of length %d>" % (type(value).__name__, len(value))
+    return "<%s of %d characters>" % (type(value).__name__, len(text))
 
 
 class PrimeField:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .algebras import AlgebraElement
-from .linalg import DenseMatrix, FieldMismatchError, dense_product
+from .linalg import DenseMatrix, FieldMismatchError, dense_product, readable
 
 
 class VarTable:
@@ -49,7 +49,7 @@ class VarTable:
 
     def add_var(self, name: str, weight: int) -> int:
         if name in self._index:
-            raise ValueError("variable name collision: %r" % name)
+            raise ValueError("variable name collision: %s" % readable(name))
         if not isinstance(weight, int) or weight < 1:
             raise ValueError("weight must be a positive integer; got %r" % (weight,))
         idx = len(self._names)

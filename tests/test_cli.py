@@ -33,6 +33,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+@pytest.fixture
+def digit_limit():
+    """``sys.set_int_max_str_digits`` for one test, the old limit restored after it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
 def test_cli_import_loads_no_code_generators():
     # every command pays for this import; the records are named tuples, so
     # nothing generates classes through dataclasses, inspect or typing; and
@@ -462,15 +470,21 @@ def test_describe_deeply_nested_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["describe", "tor"])
-def test_number_past_the_int_digit_limit_is_an_input_error(capsys, command):
+def test_number_past_the_int_digit_limit_is_an_input_error(capsys, digit_limit, command):
     # json reads "free_rank" (5,000 nines) with int(), which refuses a literal
-    # longer than Python's 4,300-digit limit with a plain ValueError
+    # longer than Python's default 4,300-digit limit with a plain ValueError;
+    # with the limit lifted the number is read and named by the size check
     path = str(FIXTURES / "huge_number.json")
     argv = [command, path] + ([MOD] if command == "tor" else [])
+    digit_limit(4300)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: %s cannot be read: " % path)
     assert err.count("\n") == 1 and err.endswith("\n")
+    digit_limit(0)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("nines", [4300, 4299])
@@ -858,10 +872,10 @@ def test_used_variable_scan_tests_no_polynomial(monkeypatch):
     assert len(assignment) == 2
 
 
-def test_oversized_field_flag_is_named_by_its_length(capsys):
+def test_oversized_field_flag_is_named_by_its_length(capsys, digit_limit):
     # past the interpreter's digit limit int() cannot read the flag at all, so
     # the flag is named by its length; below it the value by its digit count
-    for flag, shown in (
+    flags = (
         ("fp:" + "9" * 5000, "bad field flag <5003 characters>"),
         ("fp:-" + "9" * 5000, "bad field flag <5004 characters>"),
         ("fp:+" + "9" * 5000, "bad field flag <5004 characters>"),
@@ -869,11 +883,19 @@ def test_oversized_field_flag_is_named_by_its_length(capsys):
         ("z" * 5000, "bad field flag <5000 characters> (expected q or fp:<p>)"),
         ("fp:" + "9" * 400, "got <about 400 digits>"),
         ("fp:-" + "9" * 400, "got -<about 400 digits>"),
-    ):
+    )
+    digit_limit(4300)
+    for flag, shown in flags:
         rc, out, err = run(capsys, "verify", "--field", flag)
         assert (rc, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200
         assert err.endswith(shown + "\n")
+    # with the limit lifted int() reads the nines, and the value is named
+    digit_limit(0)
+    for flag, _ in flags:
+        rc, out, err = run(capsys, "verify", "--field", flag)
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
 
 
 def test_oversized_characteristic_in_a_document_is_named_by_its_size(tmp_path, capsys):
@@ -895,6 +917,50 @@ def test_oversized_characteristic_in_a_document_is_named_by_its_size(tmp_path, c
     rc, out, err = run(capsys, "describe", str(path))
     assert (rc, out) == (2, "")
     assert err == 'error: bad "field" value <4000 characters> (expected "q" or {"fp": p})\n'
+
+
+def _resolution(assignment, name="x", monomial=None):
+    """A 1 x 1 resolution over F_101 in the one variable ``name``, whose entry
+    is ``monomial``, by default ``name`` itself."""
+    entry = [["1", monomial or {name: 1}]]
+    return {
+        "field": {"fp": 101},
+        "variables": [[name, 1]],
+        "matrices": [{"rows": 1, "cols": 1, "entries": [[entry]]}],
+        "assignment": assignment,
+    }
+
+
+def _module(**changes):
+    doc = json.loads(Path(MOD).read_text(encoding="utf-8"))
+    doc.update(changes)
+    return doc
+
+
+def _long_values():
+    name, element = "v" * 5000, ["0", "1", "0"]
+    module = {"quotient_of_free": 1, "relations": [[["x" * 5000, "0", "0"]]]}
+    return {
+        "fp_list": _module(field={"fp": [7] * 3000}),
+        "long_scalar": _module(module=module),
+        "list_scalar": _resolution({"x": [[7] * 3000, "0", "0"]}),
+        "missing_long_name": json.loads((FIXTURES / "long_variable_name.json").read_text()),
+        "stray_long_key": _resolution({"x": element, "w" * 5000: element}),
+        "duplicated_long_name": dict(_resolution({"x": element}), variables=[["d" * 3000, 1]] * 2),
+        "unknown_long_variable": _resolution({"x": element}, monomial={"u" * 4000: 1}),
+        "long_name_exponent": _resolution({name: element}, name, {name: 0}),
+        "long_name_element": _resolution({name: "0"}, name),
+    }
+
+
+@pytest.mark.parametrize("case", list(_long_values()))
+def test_long_document_values_are_named_by_their_length(tmp_path, capsys, case):
+    # each value would write thousands of characters into the error line
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_long_values()[case]))
+    rc, out, err = run(capsys, "describe", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 400
 
 
 def test_verify_substitutes_x_and_y_once(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from torcheck import complexes
 from torcheck.algebras import (
     AlgebraElement,
     ArtinAlgebra,
@@ -450,6 +451,18 @@ def test_tor_multiplies_no_k_matrices(scene, monkeypatch):
     assert report.lengths() == (16, 0, 2)
     assert report.complex.dims == [6, 12, 24]
     assert products == []
+
+
+def test_tor_checks_the_resolution_once(scene, monkeypatch):
+    # tor_from_specialized checks the list, and the one composite its factors
+    _, N, _, X, Y, assignment, _, _ = scene
+    calls = []
+    check_chain = complexes.check_chain
+    monkeypatch.setattr(
+        complexes, "check_chain", lambda ms, what: calls.append(what) or check_chain(ms, what)
+    )
+    assert tor_from_resolution([X, Y], assignment, N).lengths() == (16, 0, 2)
+    assert calls == ["resolution matrices", "factors"]
 
 
 def load(name):
