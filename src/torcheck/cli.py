@@ -124,10 +124,14 @@ def parse_int(obj, minimum, message):
 def parse_scalar(field, obj, where):
     if not isinstance(obj, str):
         raise InputError("%s: scalars must be strings, got %s" % (where, readable(obj)))
+    # the reason names the failure; int()'s own text would quote the value again
     try:
         return field.parse(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("%s: bad scalar %s (%s)" % (where, readable(obj), exc)) from None
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError:
+        reason = "expected num/den or num" if field == QQ else "expected a decimal integer"
+    raise InputError("%s: bad scalar %s (%s)" % (where, readable(obj), reason))
 
 
 # -- document pieces ---------------------------------------------------------

@@ -296,31 +296,42 @@ class Matrix(DenseMatrix):
     # -- elimination --------------------------------------------------
 
     def _eliminate(self, full):
-        """``(rows, pivots)`` of fraction-free elimination (Bareiss): ``pivots``
-        are the pivot columns and each of ``rows[:len(pivots)]`` a multiple of
-        its rref row.  Over Q rows are scaled to integers by the lcm of their
-        denominators; a step is ``(a*x - b*y) // prev``, ``a`` the pivot and
-        ``prev`` the pivot that last reduced the row, exact since every entry
-        is a minor.  Over F_p it is ``(a*x - b*y) % p``.  Both skip a row whose
-        ``b`` is 0; over Q it owes ``a / prev``, paid if it becomes a pivot row.
-        ``full`` also clears above each pivot; else zero columns are dropped."""
+        """``(rows, pivots)`` of fraction-free elimination (Bareiss) of the
+        non-zero rows of ``self``: ``pivots`` are the pivot columns and each
+        of ``rows[:len(pivots)]`` a multiple of its rref row.  Over Q rows are
+        scaled to integers by the lcm of their denominators; a step is
+        ``(a*x - b*y) // prev``, ``a`` the pivot and ``prev`` the pivot that
+        last reduced the row, exact since every entry is a minor.  Over F_p it
+        is ``(a*x - b*y) % p``.  Both skip a row whose ``b`` is 0; over Q it
+        owes ``a / prev``, paid if it becomes a pivot row.  ``full`` also
+        clears above each pivot; else zero columns are dropped.
+
+        A zero row never pivots and no step changes it, so zero rows are
+        dropped first, before any scaling or column scan.  They are most of
+        an induced map's rows: a matrix with entries in the radical of S maps
+        N^p into rad(N^q), so where some vectors of N's basis span rad(N), as
+        a quotient module's often do, every row at another basis vector is
+        zero (64 of the 96 rows of the largest map of a length-6 residue
+        resolution)."""
         p = self.field.p if isinstance(self.field, PrimeField) else None
+        nonzero = [row for row in self.entries if any(row)]
         if p is None:
-            dens = [lcm(*(x.denominator for x in row)) for row in self.entries]
-            m = [[x.numerator * d // x.denominator for x in r] for r, d in zip(self.entries, dens)]
+            dens = [lcm(*(x.denominator for x in row)) for row in nonzero]
+            m = [[x.numerator * d // x.denominator for x in r] for r, d in zip(nonzero, dens)]
         else:
-            m = [list(row) for row in self.entries]
+            m = [list(row) for row in nonzero]
         cols = range(self.ncols) if full else [j for j, c in enumerate(zip(*m)) if any(c)]
         if not full:  # a column that is zero in every row never pivots
             m = [[row[j] for j in cols] for row in m]
-        level = [1] * self.nrows  # the pivot that last reduced each row
+        n = len(m)
+        level = [1] * n  # the pivot that last reduced each row
         pivots = []
         prev = 1
         for pc in range(len(cols)):
             pr = len(pivots)
-            if pr == self.nrows:
+            if pr == n:
                 break
-            r = next((r for r in range(pr, self.nrows) if m[r][pc]), None)
+            r = next((r for r in range(pr, n) if m[r][pc]), None)
             if r is None:
                 continue
             m[pr], m[r] = m[r], m[pr]
@@ -330,7 +341,7 @@ class Matrix(DenseMatrix):
             if p is None and level[pr] != prev:
                 top[pc:] = [x * prev // level[pr] for x in top[pc:]]
             a, tail = top[pc], top[pc:]
-            for r in range(0 if full else pr + 1, self.nrows):
+            for r in range(0 if full else pr + 1, n):
                 row, b = m[r], m[r][pc]
                 if r == pr or not b:
                     continue

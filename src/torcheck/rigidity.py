@@ -85,8 +85,6 @@ class GenericComplexData(
     28) and ``u_relations`` ((c1, c2), g - f*u, 28).
     """
 
-    __slots__ = ()
-
     def keyed_classes(self):
         """Every derived polynomial class as a sequence of (key, poly), keyed
         by class name, in report order.  The checks name an offender by
@@ -95,6 +93,21 @@ class GenericComplexData(
             name: (((), self.f),) if name == "f" else getattr(self, name)
             for name in DERIVED_CLASSES
         }
+
+    def weighted_degrees(self):
+        """Every derived polynomial class as a sequence of (key,
+        ``weighted_degree()``), keyed by class name in report order.  Each
+        polynomial is classified once per instance and the result kept in
+        the instance dict, so the grading and P^2 checks of one report share
+        it; a modified copy made by ``data._replace(...)`` classifies its
+        own."""
+        kept = vars(self)
+        if "degrees" not in kept:
+            kept["degrees"] = {
+                name: tuple((key, p.weighted_degree()) for key, p in polys)
+                for name, polys in self.keyed_classes().items()
+            }
+        return kept["degrees"]
 
 
 def relation_label(class_name, key) -> str:
@@ -287,11 +300,11 @@ def check_counts(data: GenericComplexData) -> CheckResult:
 
 def check_grading(data: GenericComplexData) -> CheckResult:
     """Every derived polynomial is homogeneous of its forced weighted degree."""
-    classes = data.keyed_classes()
+    classified = data.weighted_degrees()
     degrees = {name: degree for name, (_, degree, _, _) in DERIVED_CLASSES.items()}
     for name, expected in degrees.items():
-        for key, p in classes[name]:
-            if p.weighted_degree() != ("homogeneous", expected):
+        for key, found in classified[name]:
+            if found != ("homogeneous", expected):
                 details = {"degrees": degrees, "offender": relation_label(name, key)}
                 return CheckResult("grading", False, details)
     return CheckResult("grading", True, {"degrees": degrees})
@@ -304,13 +317,10 @@ def check_psquare(data: GenericComplexData) -> CheckResult:
     min_factors = {}
     offender = None
     classes = data.keyed_classes()
+    classified = data.weighted_degrees()
     for class_name in RELATION_CLASSES:
-        degrees = []
-        factors = []
-        for _, p in classes[class_name]:
-            kind, d = p.weighted_degree()
-            degrees.append(d if d is not None else -1)
-            factors.append(p.min_factor_count() if p else 0)
+        degrees = [d if d is not None else -1 for _, (_, d) in classified[class_name]]
+        factors = [p.min_factor_count() if p else 0 for _, p in classes[class_name]]
         min_degree[class_name] = min(degrees)
         min_factors[class_name] = min(factors)
         if min(factors) < 2 or min(degrees) < 4:
