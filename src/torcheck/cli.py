@@ -124,13 +124,13 @@ def parse_int(obj, minimum, message):
 def parse_scalar(field, obj, where):
     if not isinstance(obj, str):
         raise InputError("%s: scalars must be strings, got %s" % (where, readable(obj)))
-    # the reason names the failure; int()'s own text would quote the value again
     try:
         return field.parse(obj)
-    except ZeroDivisionError:
+    except ZeroDivisionError:  # Fraction's text would write the numerator out
         reason = "zero denominator"
-    except ValueError:
-        reason = "expected num/den or num" if field == QQ else "expected a decimal integer"
+    except ValueError as exc:
+        # int() names the failure before a colon and quotes the value after it
+        reason = str(exc).partition(":")[0]
     raise InputError("%s: bad scalar %s (%s)" % (where, readable(obj), reason))
 
 

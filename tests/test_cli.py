@@ -963,6 +963,34 @@ def test_long_document_values_are_named_by_their_length(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 400
 
 
+@pytest.mark.parametrize(
+    "field, scalar, shown",
+    [
+        ({"fp": 101}, "x" * 5000, "<5000 characters> (invalid literal for int() with base 10)"),
+        ("q", "1/" + "x" * 4998, "<5000 characters> (invalid literal for int() with base 10)"),
+        ("q", "1/0", "'1/0' (zero denominator)"),
+        (
+            {"fp": 101},
+            "9" * 5000,
+            "<5000 characters> (Exceeds the limit (4300 digits) for integer string conversion)",
+        ),
+    ],
+    ids=["fp101", "q", "zero-denominator", "past-the-digit-limit"],
+)
+def test_bad_scalar_names_its_failure_without_quoting_the_value(
+    tmp_path, capsys, digit_limit, field, scalar, shown
+):
+    # int()'s whole error text would quote the 5,000-letter literal a second time
+    digit_limit(4300)
+    module = {"quotient_of_free": 1, "relations": [[[scalar, "0", "0"]]]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(_module(field=field, module=module)))
+    rc, out, err = run(capsys, "describe", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: relations[0]: bad scalar %s\n" % shown
+    assert len(err) < 200
+
+
 def test_verify_substitutes_x_and_y_once(monkeypatch, capsys):
     # the battery reads Xbar and Ybar from one substitution each, and values
     # the 268 relations through one shared Substitution

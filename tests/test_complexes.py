@@ -494,6 +494,19 @@ def test_tor_substitutes_only_the_non_zero_entries(monkeypatch):
     assert tor == load("golden/tor-residue-fp101.json")["tor"]
 
 
+def test_the_largest_induced_map_eliminates_only_its_non_zero_rows():
+    # the 64x32 differential has its entries in the radical, so its 96x192
+    # induced map lands in rad(N^32), of dimension 32: 64 of its rows are zero
+    # and the elimination never sees them
+    matrices, assignment, module = residue_scene()
+    assert module.radical_submodule().ncols == 1
+    k = induced_map(substitute_matrix(matrices[0], assignment, module.algebra), module)
+    assert (k.nrows, k.ncols) == (96, 192)
+    rows, pivots = k._eliminate(False)
+    assert len(rows) == sum(1 for row in k.entries if any(row)) == 32
+    assert len(pivots) == k.rank() == 32
+
+
 def test_tor_tests_and_multiplies_no_element(monkeypatch):
     # the composite check multiplies coefficient stacks, induced maps read
     # them, and substitution works on coordinate vectors, so a tor call makes

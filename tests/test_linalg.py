@@ -291,6 +291,58 @@ def test_rank_nullity_200_random_matrices():
             assert (m @ k).first_nonzero() is None
 
 
+def sparse_with_zero_lines(rng, field):
+    """A random matrix with all-zero rows and columns interleaved at random
+    positions and most other entries zero; over Q some entries are fractions."""
+    nrows, ncols = rng.randrange(1, 12), rng.randrange(1, 10)
+    zero_rows = {i for i in range(nrows) if rng.random() < 0.5}
+    zero_cols = {j for j in range(ncols) if rng.random() < 0.3}
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or rng.random() < 0.6:
+            return 0
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 3]))
+
+    return M(field, [[entry(i, j) for j in range(ncols)] for i in range(nrows)])
+
+
+def zero_line_cases():
+    rng = random.Random(29)
+    for field in [QQ, GF(101), GF(2)] * 40:
+        yield sparse_with_zero_lines(rng, field)
+        ncols = rng.randrange(1, 8)
+        yield Matrix(field, [], ncols=ncols)  # no rows
+        yield M(field, [[0] * ncols] * rng.randrange(1, 8))  # all zero
+        one = [[0] * ncols for _ in range(rng.randrange(1, 8))]
+        one[rng.randrange(len(one))] = [rng.randrange(-5, 6) or 1 for _ in range(ncols)]
+        yield M(field, one)  # one non-zero row
+
+
+def test_zero_rows_and_columns_change_no_elimination_result():
+    # the 200-matrix suite draws dense entries and almost never a zero row;
+    # induced maps of radical matrices are mostly zero rows
+    seen = Counter()
+    for m in zero_line_cases():
+        f, entries = m.field, m.entries
+        seen[f, any(not any(row) for row in entries), m.nrows == 0] += 1
+        rank = m.rank()
+        assert rank == Matrix(f, list(zip(*entries)) or [()] * m.ncols, ncols=m.nrows).rank()
+        k = m.kernel_basis()
+        assert rank + k.ncols == m.ncols
+        assert (m @ k).first_nonzero() is None
+        kept = [row for row in entries if any(row)]
+        red, pivots = m.rref()
+        kept_red, kept_pivots = Matrix(f, kept, ncols=m.ncols).rref()
+        assert pivots == kept_pivots
+        assert red.entries == kept_red.entries + ((0,) * m.ncols,) * (m.nrows - len(kept))
+        image = m.image_basis()
+        assert image.ncols == rank
+        assert same_span(image, m)
+    # every field saw a matrix with a zero row, and one with no rows at all
+    assert {field for field, zero_row, _ in seen if zero_row} == {QQ, GF(101), GF(2)}
+    assert {field for field, _, empty in seen if empty} == {QQ, GF(101), GF(2)}
+
+
 def test_rank_over_q_dominates_rank_mod_p():
     rng = random.Random(77)
     for _ in range(60):

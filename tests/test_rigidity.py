@@ -176,6 +176,16 @@ def test_psquare_fails_on_bare_variable(data):
     assert result.details["offender"] == "u_relations"
 
 
+def test_a_report_classifies_each_derived_polynomial_once(monkeypatch):
+    # 16 + 224 + 1 + 28 + 28 derived polynomials; the P^2 check reads the
+    # classification the grading check made of the 268 relation generators
+    calls = []
+    classify = WeightedPoly.weighted_degree
+    monkeypatch.setattr(WeightedPoly, "weighted_degree", lambda p: calls.append(p) or classify(p))
+    assert full_report(FIELD).overall_pass
+    assert len(calls) == len({id(p) for p in calls}) == 297
+
+
 # -- specialization ----------------------------------------------------------
 
 
