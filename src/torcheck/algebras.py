@@ -22,11 +22,11 @@ construction and are not checked either; quotients are taken by generators.
 :func:`block_operator` is the one owner of the row-vector block convention.
 It takes the coefficient stack of a matrix over the algebra, one K-matrix
 per basis element: the axiom check, direct sum powers, free modules and the
-induced maps of :mod:`torcheck.complexes` all hand it stacks.  It sums
-Python ints over every field: over Q it scales the operator entries it uses
-by the lcm of their denominators and divides each entry it writes once, so
-it adds and multiplies no ``Fraction`` unless a coefficient of the stack is
-one.
+induced maps of :mod:`torcheck.complexes` all hand it stacks.  It visits
+only the non-zero cells of the stack and of the operators, and sums Python
+ints over every field: over Q it scales the operator entries it uses by the
+lcm of their denominators and divides each cell it writes once, so it adds
+and multiplies no ``Fraction`` unless a coefficient of the stack is one.
 The length of a module over such an algebra equals its K-dimension, because
 the only simple module is the 1-dimensional residue field.
 """
@@ -34,6 +34,7 @@ the only simple module is the 1-dimensional residue field.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import lcm
 
 from .linalg import Matrix, ShapeError, subspace_leq
@@ -256,33 +257,32 @@ def block_operator(field, actions, stack, dim) -> Matrix:
     """The K-matrix of the ``p x q`` algebra matrix with coefficient stack
     ``stack`` acting through ``actions``, one ``dim x dim`` operator per basis
     element.  Block ``(k, i)``, at rows ``k*dim`` and columns ``i*dim``, is
-    the sum of ``stack[l][i][k] * actions[l]``.  Zero rows and entries of the
-    stack and zero operator entries are skipped.  The sums are taken on
-    Python ints: the operator entries that a non-zero layer of the stack uses
-    are scaled by ``den``, the lcm of their denominators (1 over F_p and for
-    integral operators over Q), and each entry of a written block is divided
-    by ``den`` and reduced once, after every layer has added to it."""
+    the sum of ``stack[l][i][k] * actions[l]``.  Only the cells written by a
+    non-zero stack entry times a non-zero operator entry are summed; a row
+    with none is one shared zero tuple.  The sums are taken on Python ints:
+    the operator entries that a non-zero layer of the stack uses are scaled
+    by ``den``, the lcm of their denominators (1 over F_p and for integral
+    operators over Q), and each written cell is divided by ``den`` and
+    reduced once, after every layer has added to it."""
     p, q = stack[0].nrows, stack[0].ncols
     used, den = [], 1
     for layer, action in zip(stack, actions):
-        numbered = enumerate(layer.entries)
-        cells = [(i, k, c) for i, r in numbered if any(r) for k, c in enumerate(r) if c]
+        cells = [(i, k, r[k]) for i, r in enumerate(layer.entries) for k in compress(count(), r)]
         if cells:
             numbered = enumerate(action.entries)
             # the non-zero operator entries as (row, column, entry)
-            terms = [(r, j, x) for r, row in numbered for j, x in enumerate(row) if x]
+            terms = [(r, j, row[j]) for r, row in numbered for j in compress(count(), row)]
             den = lcm(den, *(x.denominator for _, _, x in terms))
             used.append((cells, terms))
-    rows = [[0] * (p * dim) for _ in range(q * dim)]
-    written = set()
+    sums = {}  # the written rows, each a dict of its written cells
     for cells, terms in used:
         if den != 1:
             terms = [(r, j, x.numerator * (den // x.denominator)) for r, j, x in terms]
         for i, k, c in cells:
-            written.add((k, i))
             top, left = k * dim, i * dim
             for r, j, x in terms:
-                rows[top + r][left + j] += c * x
+                acc = sums.setdefault(top + r, {})
+                acc[left + j] = acc.get(left + j, 0) + c * x
     if den == 1:
         reduce = field.reduce
     else:
@@ -291,9 +291,11 @@ def block_operator(field, actions, stack, dim) -> Matrix:
         def reduce(v):
             return field.reduce(Fraction(v, den)) if v else 0
 
-    for k, i in written:
-        for out in rows[k * dim : (k + 1) * dim]:
-            out[i * dim : (i + 1) * dim] = map(reduce, out[i * dim : (i + 1) * dim])
+    rows = [(0,) * (p * dim)] * (q * dim)
+    for t, acc in sums.items():
+        rows[t] = out = [0] * (p * dim)
+        for j, v in acc.items():
+            out[j] = reduce(v)
     return Matrix._raw(field, rows, p * dim)
 
 

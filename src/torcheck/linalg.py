@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
 Every homology number in this package reduces to a rank, kernel or column
-span of a dense matrix of modest size (an induced map of a length-6
-resolution is 96x192).  Rank, rref and image basis share one fraction-free
-elimination on Python ints (Bareiss); rank and image basis need only its
-forward pass.  A rational entry is a Python ``int`` when it is an integer and
-a ``fractions.Fraction`` otherwise; prime-field entries are integer residues
-in ``[0, p)``.  No floating point anywhere, and so no ``/``: an exact quotient
-is ``Fraction(a, b)``.
+span of a dense matrix, mostly zero (a 96x192 induced map has 128 non-zero
+entries).  Rank, rref and image basis share one fraction-free elimination on
+Python ints (Bareiss) that skips zero rows and finds each pivot from the
+rows' first non-zero columns; rank and image basis need only its forward
+pass.  A rational entry is a Python ``int`` when it is an integer and a
+``fractions.Fraction`` otherwise; prime-field entries are integer residues in
+``[0, p)``.  No floating point anywhere, so no ``/``: an exact quotient is
+``Fraction(a, b)``.
 
 Field values are plain numbers with Python's own ``+ - *`` and truth value,
 and 0 and 1 are the ints 0 and 1 in every field; a field object is consulted
@@ -29,7 +30,7 @@ bases, stacks) is made by the trusted ``_raw`` and not checked again.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, count
 from math import lcm
 
 
@@ -304,15 +305,16 @@ class Matrix(DenseMatrix):
         last reduced the row, exact since every entry is a minor.  Over F_p it
         is ``(a*x - b*y) % p``.  Both skip a row whose ``b`` is 0; over Q it
         owes ``a / prev``, paid if it becomes a pivot row.  ``full`` also
-        clears above each pivot; else zero columns are dropped.
+        clears above each pivot.
 
-        A zero row never pivots and no step changes it, so zero rows are
-        dropped first, before any scaling or column scan.  They are most of
-        an induced map's rows: a matrix with entries in the radical of S maps
-        N^p into rad(N^q), so where some vectors of N's basis span rad(N), as
-        a quotient module's often do, every row at another basis vector is
-        zero (64 of the 96 rows of the largest map of a length-6 residue
-        resolution)."""
+        Zero rows are dropped first, as they never pivot and no step changes
+        them.  Each row keeps a lower bound on its first non-zero column, set
+        to ``pc + 1`` when the pivot at ``pc`` reduces it.  Rows at or below
+        the next pivot row are zero left of the least bound; it is the next
+        pivot column if its first row is non-zero there, else that bound moves
+        on to its row's first non-zero.  So an empty column is never scanned:
+        the largest induced map of a length-6 residue resolution (entries in
+        rad(N^q)) has 32 non-zero rows of 96 and 128 non-zero entries."""
         p = self.field.p if isinstance(self.field, PrimeField) else None
         nonzero = [row for row in self.entries if any(row)]
         if p is None:
@@ -320,22 +322,23 @@ class Matrix(DenseMatrix):
             m = [[x.numerator * d // x.denominator for x in r] for r, d in zip(nonzero, dens)]
         else:
             m = [list(row) for row in nonzero]
-        cols = range(self.ncols) if full else [j for j, c in enumerate(zip(*m)) if any(c)]
-        if not full:  # a column that is zero in every row never pivots
-            m = [[row[j] for j in cols] for row in m]
-        n = len(m)
+        n, width = len(m), self.ncols
         level = [1] * n  # the pivot that last reduced each row
+        lead = [next(compress(count(), row)) for row in m]  # no non-zero left of it
         pivots = []
         prev = 1
-        for pc in range(len(cols)):
-            pr = len(pivots)
-            if pr == n:
+        for pr in range(n):
+            pc = min(lead[pr:])
+            r = lead.index(pc, pr)
+            while pc < width and not m[r][pc]:
+                lead[r] = next(compress(count(pc + 1), m[r][pc + 1 :]), width)
+                pc = min(lead[pr:])
+                r = lead.index(pc, pr)
+            if pc == width:
                 break
-            r = next((r for r in range(pr, n) if m[r][pc]), None)
-            if r is None:
-                continue
             m[pr], m[r] = m[r], m[pr]
             level[pr], level[r] = level[r], level[pr]
+            lead[pr], lead[r] = lead[r], lead[pr]
             top = m[pr]
             # a row at or below pr is zero left of pc; a row above needs every column
             if p is None and level[pr] != prev:
@@ -350,8 +353,8 @@ class Matrix(DenseMatrix):
                     row[start:] = [(a * x - b * y) % p for x, y in zip(row[start:], ys)]
                 else:
                     row[start:] = [(a * x - b * y) // level[r] for x, y in zip(row[start:], ys)]
-                level[r] = a
-            pivots.append(cols[pc])
+                level[r], lead[r] = a, pc + 1
+            pivots.append(pc)
             level[pr] = prev = a
         return m, tuple(pivots)
 
