@@ -23,7 +23,7 @@ from torcheck.complexes import (
     substitute_matrix,
     tor_from_resolution,
 )
-from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, ShapeError, same_span
+from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, PrimeField, ShapeError, same_span
 from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly
 from torcheck.rigidity import build_generic_data, build_specialization
 
@@ -505,6 +505,23 @@ def test_the_largest_induced_map_eliminates_only_its_non_zero_rows():
     rows, pivots = k._eliminate(False)
     assert len(rows) == sum(1 for row in k.entries if any(row)) == 32
     assert len(pivots) == k.rank() == 32
+
+
+def test_the_largest_induced_map_reduces_only_its_non_zero_cells(monkeypatch):
+    # each of the 128 non-zero cells of the 96x192 map is written by one
+    # product of a stack entry and an operator entry and reduced once; the 64
+    # written 3x3 blocks hold 576 cells, and the other rows are never written
+    matrices, assignment, module = residue_scene()
+    a = substitute_matrix(matrices[0], assignment, module.algebra)
+    calls = []
+    reduce = PrimeField.reduce
+    monkeypatch.setattr(PrimeField, "reduce", lambda f, x: calls.append(x) or reduce(f, x))
+    k = induced_map(a, module)
+    monkeypatch.undo()
+    assert (a.nrows, a.ncols, k.nrows, k.ncols) == (64, 32, 96, 192)
+    assert len(calls) == sum(1 for row in k.entries for x in row if x) == 128
+    assert all(calls)
+    assert k == Matrix(module.algebra.field, _block_grid(module, a), ncols=192)
 
 
 def test_tor_tests_and_multiplies_no_element(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -595,3 +596,95 @@ def test_rank_and_image_basis_do_not_call_rref(monkeypatch):
         a = M(field, [[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]])
         assert a.rank() == 2
         assert a.image_basis() == M(field, [[1, 2], [2, 4], [Fraction(1, 2), 0]])
+
+
+def column_scan_eliminate(a, full):
+    """The reference column-scan elimination: each column in turn is scanned
+    for a pivot among the rows left, and without ``full`` the zero columns
+    are dropped first.  Its Bareiss steps are those of ``_eliminate``."""
+    p = a.field.p if isinstance(a.field, PrimeField) else None
+    nonzero = [row for row in a.entries if any(row)]
+    if p is None:
+        dens = [math.lcm(*(x.denominator for x in row)) for row in nonzero]
+        m = [[x.numerator * d // x.denominator for x in r] for r, d in zip(nonzero, dens)]
+    else:
+        m = [list(row) for row in nonzero]
+    cols = range(a.ncols) if full else [j for j, c in enumerate(zip(*m)) if any(c)]
+    if not full:
+        m = [[row[j] for j in cols] for row in m]
+    n = len(m)
+    level = [1] * n
+    pivots = []
+    prev = 1
+    for pc in range(len(cols)):
+        pr = len(pivots)
+        if pr == n:
+            break
+        r = next((r for r in range(pr, n) if m[r][pc]), None)
+        if r is None:
+            continue
+        m[pr], m[r] = m[r], m[pr]
+        level[pr], level[r] = level[r], level[pr]
+        top = m[pr]
+        if p is None and level[pr] != prev:
+            top[pc:] = [x * prev // level[pr] for x in top[pc:]]
+        a_, tail = top[pc], top[pc:]
+        for r in range(0 if full else pr + 1, n):
+            row, b = m[r], m[r][pc]
+            if r == pr or not b:
+                continue
+            start, ys = (pc, tail) if r > pr else (0, top)
+            if p:
+                row[start:] = [(a_ * x - b * y) % p for x, y in zip(row[start:], ys)]
+            else:
+                row[start:] = [(a_ * x - b * y) // level[r] for x, y in zip(row[start:], ys)]
+            level[r] = a_
+        pivots.append(cols[pc])
+        level[pr] = prev = a_
+    return m, tuple(pivots)
+
+
+def pivot_search_cases():
+    """Sparse matrices (at most 5% non-zero, with zero rows and columns
+    interleaved), dense ones and rank-deficient products, over each field."""
+    rng = random.Random(30)
+
+    def value():
+        return Fraction(rng.choice([-7, -2, -1, 1, 3, 4]), rng.choice([1, 1, 3, 7]))
+
+    for field in [QQ, GF(P), GF(2)] * 12:
+        nrows, ncols = rng.randrange(8, 40), rng.randrange(8, 60)
+        zero_rows = set(rng.sample(range(nrows), nrows // 3))
+        zero_cols = set(rng.sample(range(ncols), ncols // 3))
+        cells = [
+            (i, j)
+            for i in range(nrows)
+            for j in range(ncols)
+            if i not in zero_rows and j not in zero_cols
+        ]
+        rows = [[0] * ncols for _ in range(nrows)]
+        for i, j in rng.sample(cells, min(len(cells), nrows * ncols // 20)):
+            rows[i][j] = value()
+        yield "sparse", M(field, rows)
+        n, m = rng.randrange(2, 12), rng.randrange(2, 12)
+        yield "dense", M(field, [[value() for _ in range(m)] for _ in range(n)])
+        inner = rng.randrange(1, min(n, m))
+        left = M(field, [[value() for _ in range(inner)] for _ in range(n)])
+        right = M(field, [[value() for _ in range(m)] for _ in range(inner)])
+        yield "rank-deficient", left @ right
+
+
+def test_pivot_search_takes_every_step_of_the_column_scan():
+    seen = Counter()
+    for kind, a in pivot_search_cases():
+        full = a._eliminate(True)
+        assert full == column_scan_eliminate(a, True)
+        pivots = a._eliminate(False)[1]
+        assert pivots == column_scan_eliminate(a, False)[1] == full[1]
+        nonzero = sum(1 for row in a.entries for x in row if x)
+        if kind == "sparse":
+            assert nonzero <= a.nrows * a.ncols // 20
+        seen[a.field, kind, len(pivots) < min(a.nrows, a.ncols)] += 1
+    for field in (QQ, GF(P), GF(2)):
+        assert seen[field, "rank-deficient", True] == 12
+        assert seen[field, "dense", False] > 0

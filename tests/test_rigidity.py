@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from importlib.resources import files
 from itertools import combinations
 
@@ -7,7 +8,7 @@ import pytest
 
 from torcheck.algebras import ArtinAlgebra, FDModule, free_module
 from torcheck.cli import load_json, parse_complex_doc, parse_module_doc, parse_resolution_doc
-from torcheck.complexes import AlgebraMatrix, substitute_matrix
+from torcheck.complexes import AlgebraMatrix, substitute_matrix, tor_from_specialized
 from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck import rigidity
@@ -667,3 +668,118 @@ def test_euler_characteristic_arithmetic():
     report = full_report(FIELD)
     tor = report.tor
     assert tor[0] - tor[1] + tor[2] == 18 == 24 - 12 + 6
+
+
+def submodules_of_s2(free):
+    """Every submodule of the free module ``free`` = S^2 over GF(2), S =
+    F_2[s,t]/(s,t)^2, with generators for it: a breadth-first search that
+    adds one vector and its images under s and t at a time.  Vectors are
+    6-bit ints, and a submodule is the frozenset of its vectors."""
+    dim = free.dim
+
+    def bits(column):
+        return sum(1 << j for j, x in enumerate(column) if x)
+
+    # the images of each basis vector under s and t, as bit masks
+    images = [
+        [bits(row[j] for row in free.actions[g].entries) for j in range(dim)] for g in (1, 2)
+    ]
+
+    def act(image, v):
+        out = 0
+        for j in range(dim):
+            if v >> j & 1:
+                out ^= image[j]
+        return out
+
+    found = {frozenset([0]): []}
+    frontier = list(found.items())
+    while frontier:
+        nxt = []
+        for vectors, gens in frontier:
+            for v in range(1 << dim):
+                if v in vectors:
+                    continue
+                span = set(vectors)
+                for g in (v, act(images[0], v), act(images[1], v)):
+                    if g not in span:
+                        span |= {w ^ g for w in span}
+                key = frozenset(span)
+                if key not in found:
+                    found[key] = gens + [v]
+                    nxt.append((key, found[key]))
+        frontier = nxt
+    return [[tuple(v >> j & 1 for j in range(dim)) for v in gens] for gens in found.values()]
+
+
+def linear_part_tor(module, xbar, ybar):
+    """Tor of N^2 <- N^4 <- N^8 from the ranks of the linear parts
+    (N/mN)^p -> (mN)^q of the two maps: m^2 = 0 and every entry of Xbar and
+    Ybar lies in m, so each induced map kills mN and lands in mN."""
+    field, S = module.algebra.field, module.algebra
+    radical = module.radical_submodule()
+    r = radical.ncols
+    identity = Matrix.identity(field, module.dim)
+    _, pivots = radical.hstack(identity).rref()
+    lifts = Matrix.from_cols(
+        field, [[row[j - r] for row in identity.entries] for j in pivots[r:]], nrows=module.dim
+    )
+    c = lifts.ncols
+
+    def radical_coordinates(vectors):
+        red, pivots = radical.hstack(vectors).rref()
+        assert pivots == tuple(range(r))
+        return [row[r:] for row in red.entries[:r]]
+
+    linear = {g: radical_coordinates(module.actions[g] @ lifts) for g in S.radical_indices}
+
+    def rank_of_linear_part(a):
+        assert all(e.coords[0] == 0 for row in elements(a) for e in row)
+        rows = [
+            [
+                sum(a.entry(i, k).coords[g] * linear[g][x][y] for g in linear)
+                for i in range(a.nrows)
+                for y in range(c)
+            ]
+            for k in range(a.ncols)
+            for x in range(r)
+        ]
+        return Matrix(field, rows, ncols=a.nrows * c).rank()
+
+    rank_x, rank_y = rank_of_linear_part(xbar), rank_of_linear_part(ybar)
+    d = module.dim
+    return (8 * d - rank_y, 4 * d - rank_y - rank_x, 2 * d - rank_x)
+
+
+def test_census_of_the_quotients_of_s2_over_gf2():
+    # every non-zero quotient N of S^2 over GF(2), Tor of the bundled Xbar and
+    # Ybar against it by the kernel and by the linear parts; the bundled N is
+    # one of the 6 with Tor_1 = 0 != Tor_2
+    field = GF(2)
+    data, spec = build_generic_data(field), build_specialization(field)
+    xbar, ybar = spec.specialized(data.x), spec.specialized(data.y)
+    free = free_module(spec.algebra, 2)
+    submodules = submodules_of_s2(free)
+    assert len(submodules) == 101
+    table = Counter()
+    for gens in submodules:
+        N, _ = free.quotient_module(gens)
+        if N.dim == 0:
+            continue
+        tor = tor_from_specialized([xbar, ybar], N).lengths()
+        assert tor == linear_part_tor(N, xbar, ybar)
+        assert tor[0] - tor[1] + tor[2] == 6 * N.length()
+        table[N.dim, tor] += 1
+    assert table == {
+        (1, (8, 4, 2)): 3,
+        (2, (12, 2, 2)): 18,
+        (2, (16, 8, 4)): 1,
+        (3, (16, 0, 2)): 6,
+        (3, (20, 6, 4)): 21,
+        (4, (24, 4, 4)): 32,
+        (4, (28, 10, 6)): 3,
+        (5, (32, 8, 6)): 15,
+        (6, (40, 12, 8)): 1,
+    }
+    assert {key: n for key, n in table.items() if key[1][1] == 0} == {(3, (16, 0, 2)): 6}
+    assert tor_from_specialized([xbar, ybar], spec.module).lengths() == (16, 0, 2)
