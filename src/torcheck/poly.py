@@ -7,9 +7,9 @@ after a polynomial is created (generic matrices extend it); names matter only
 for input, output and substitution.
 
 Coefficients are exact field values from :mod:`torcheck.linalg`.  Sums,
-products, minors and parsed polynomials share one accumulator,
+differences, products and parsed polynomials share one accumulator,
 :func:`sum_terms`, which adds ``(monomial, coefficient)`` pairs up in one dict
-and reduces each sum once.  A monomial key is a sorted tuple of (variable
+and reduces each sum once; a minor adds its terms up the same way.  A monomial key is a sorted tuple of (variable
 index, exponent) pairs, so when every index of one factor is below every index
 of the other, the product's key is the two keys concatenated; only other pairs
 are merged exponent by exponent.  A :class:`PolyMatrix` is a
@@ -23,11 +23,19 @@ variables defines.  It needs one field for both, checked once when it is
 built; it then uses each coefficient as stored.  It works on coordinate
 vectors through the algebra's one coordinate product, looks each image up
 once and takes each power of an image once, for every polynomial it is
-applied to, and builds one element per polynomial.
-Minors are expanded along their first row: the signed products of the
-cofactors go to one :func:`sum_terms` call, so a minor builds no intermediate
-polynomial, and the minors of the rows below are cached for one
-:meth:`PolyMatrix.all_minors` call, so each smaller minor is built once.
+applied to, and builds one element per polynomial.  The powers are kept by
+the ``(variable index, exponent)`` pairs of the monomial keys themselves, so
+valuing a monomial builds no tuple per factor once its powers are kept.
+
+Minors are expanded along their first row.  The signed products of the
+cofactors are added up in one dict per minor, in one loop, and the minors of
+the rows below are cached for one :meth:`PolyMatrix.all_minors` call as
+``(key, coeff)`` lists, so each smaller minor is built once and only the
+minors returned become polynomials.
+
+The per-term loops here are plain nested loops: on Python 3.11 every list,
+set or generator comprehension is a function call of its own, and most keys
+hold only a few pairs, so one comprehension per key costs more than its work.
 """
 
 from __future__ import annotations
@@ -103,13 +111,12 @@ def _key_product(ka, kb):
     return tuple(sorted(exps.items()))
 
 
-def _product_terms(a, b, sign=1):
+def _product_terms(a, b):
     """The list of ``(key, coeff)`` pairs of the term-by-term product of the
-    polynomials ``a`` and ``b``, each coefficient times ``sign``."""
+    polynomials ``a`` and ``b``."""
     right = list(b.terms.items())
     out = []
     for ka, ca in a.terms.items():
-        ca *= sign
         out += [(_key_product(ka, kb), ca * cb) for kb, cb in right]
     return out
 
@@ -169,15 +176,16 @@ class Substitution:
         acc = [0] * algebra.dim
         for key, coeff in p.terms.items():
             # every image of the monomial is resolved before the products, so
-            # a missing variable raises even after a factor that vanishes
-            for idx, _ in key:
-                if (idx, 1) not in powers:
-                    powers[idx, 1] = self._image(self.table.name_of(idx))
+            # a missing variable raises even after a factor that vanishes; a
+            # kept power of a variable means its image is kept too
+            for pair in key:
+                if pair not in powers and (pair[0], 1) not in powers:
+                    powers[pair[0], 1] = self._image(self.table.name_of(pair[0]))
             value = None
-            for idx, exp in key:
-                power = powers.get((idx, exp))
+            for pair in key:
+                power = powers.get(pair)
                 if power is None:
-                    power = powers[idx, exp] = _coordinate_power(algebra, powers[idx, 1], exp)
+                    power = powers[pair] = _coordinate_power(algebra, powers[pair[0], 1], pair[1])
                 value = power if value is None else algebra.coordinate_product(value, power)
                 if not any(value):
                     break
@@ -218,13 +226,6 @@ class WeightedPoly:
         return cls(table, {})
 
     @classmethod
-    def constant(cls, table, c):
-        c = table.field.normalize(c)
-        if not c:
-            return cls(table, {})
-        return cls(table, {(): c})
-
-    @classmethod
     def variable(cls, table, name):
         idx = table.index_of(name) if isinstance(name, str) else name
         return cls(table, {((idx, 1),): 1})
@@ -240,23 +241,19 @@ class WeightedPoly:
         return sum_terms(self.table, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_table(other)
+        negated = [(k, -c) for k, c in other.terms.items()]
+        return sum_terms(self.table, chain(self.terms.items(), negated))
 
     def __neg__(self):
         reduce = self.table.field.reduce
         return WeightedPoly(self.table, {k: reduce(-c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        f = self.table.field
         if not isinstance(other, WeightedPoly):
-            c = f.normalize(other)
-            if not c:
-                return WeightedPoly.zero(self.table)
-            return WeightedPoly(self.table, {k: f.reduce(c * v) for k, v in self.terms.items()})
+            return NotImplemented
         self._check_table(other)
         return sum_terms(self.table, _product_terms(self, other))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
@@ -288,16 +285,29 @@ class WeightedPoly:
         if not self.terms:
             return ("zero", None)
         weights = self.table._weights
-        degrees = {sum([weights[idx] * e for idx, e in key]) for key in self.terms}
-        if len(degrees) == 1:
-            return ("homogeneous", degrees.pop())
-        return ("inhomogeneous", None)
+        first = None
+        for key in self.terms:
+            degree = 0
+            for idx, e in key:
+                degree += weights[idx] * e
+            if first is None:
+                first = degree
+            elif degree != first:
+                return ("inhomogeneous", None)
+        return ("homogeneous", first)
 
     def min_factor_count(self) -> int:
         """Minimum over terms of the number of variable factors (with multiplicity)."""
         if not self.terms:
             raise ValueError("zero polynomial has no factor count")
-        return min(sum([e for _, e in key]) for key in self.terms)
+        least = None
+        for key in self.terms:
+            count = 0
+            for _, e in key:
+                count += e
+            if least is None or count < least:
+                least = count
+        return least
 
     def substitute(self, assignment, algebra):
         """Evaluate by sending each variable to its assigned algebra element:
@@ -365,7 +375,7 @@ class PolyMatrix(DenseMatrix):
                 raise ValueError("%s index out of range: %r" % (kind, idx))
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError("%s indices must be strictly increasing: %r" % (kind, idx))
-        return self._expand(tuple(row_idx), tuple(col_idx), {})
+        return WeightedPoly(self.table, self._expand(tuple(row_idx), tuple(col_idx), {}))
 
     def all_minors(self, size):
         """All ``size x size`` minors as ``(row_idx, col_idx, poly)`` triples,
@@ -377,25 +387,37 @@ class PolyMatrix(DenseMatrix):
         out = []
         for rows in combinations(range(self.nrows), size):
             for cols in combinations(range(self.ncols), size):
-                out.append((rows, cols, self._expand(rows, cols, cache)))
+                out.append((rows, cols, WeightedPoly(self.table, self._expand(rows, cols, cache))))
         return out
 
     def _expand(self, rows, cols, cache):
-        """Determinant of the submatrix on the index tuples ``rows`` and
-        ``cols``, expanded along its first row.  The minors of the rows below
-        are looked up in, or added to, ``cache``, keyed by ``(rows, cols)``."""
+        """The ``(key, coeff)`` pairs of the determinant of the submatrix on
+        the index tuples ``rows`` and ``cols``, expanded along its first row,
+        in the order of :func:`sum_terms`.  The signed products of the
+        cofactors are added up in one dict; the term lists of the minors of
+        the rows below are looked up in, or added to, ``cache``, keyed by
+        ``(rows, cols)``."""
         if not rows:
-            return WeightedPoly.constant(self.table, 1)
+            return [((), 1)]
         top = self.entries[rows[0]]
         if len(rows) == 1:
-            return top[cols[0]]
+            return top[cols[0]].terms.items()
         found = cache.get((rows, cols))
         if found is not None:
             return found
         below = rows[1:]
-        signed = (
-            _product_terms(top[c], self._expand(below, cols[:j] + cols[j + 1 :], cache), (-1) ** j)
-            for j, c in enumerate(cols)
-        )
-        det = cache[(rows, cols)] = sum_terms(self.table, chain.from_iterable(signed))
-        return det
+        acc = {}
+        get = acc.get
+        for j, c in enumerate(cols):
+            sub = self._expand(below, cols[:j] + cols[j + 1 :], cache)
+            for ka, ca in top[c].terms.items():
+                if j & 1:
+                    ca = -ca
+                last = ka[-1][0] if ka else -1
+                for kb, cb in sub:
+                    # the fast case of _key_product, inlined
+                    key = ka + kb if kb and last < kb[0][0] else _key_product(ka, kb)
+                    acc[key] = get(key, 0) + ca * cb
+        reduce = self.table.field.reduce
+        terms = cache[rows, cols] = [(key, r) for key, c in acc.items() if (r := reduce(c))]
+        return terms

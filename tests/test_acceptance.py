@@ -26,7 +26,7 @@ from torcheck.rigidity import (
     run_tor_checks,
 )
 
-from polys import monomial
+from polys import constant, monomial
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = files("torcheck").joinpath("data")
@@ -213,7 +213,7 @@ def test_criterion_9_property_suites(capsys):
         table.add_var(name, 1)
 
     def rand_poly():
-        p = WeightedPoly.constant(table, rng.randrange(101))
+        p = constant(table, rng.randrange(101))
         for _ in range(rng.randrange(0, 3)):
             exps = {rng.choice(("a", "b", "c")): rng.randrange(1, 3)}
             p = p + monomial(table, exps, rng.randrange(101))

@@ -27,7 +27,7 @@ from torcheck.linalg import GF, QQ, FieldMismatchError, Matrix, PrimeField, Shap
 from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly
 from torcheck.rigidity import build_generic_data, build_specialization
 
-from polys import monomial
+from polys import constant, monomial
 
 TESTS = Path(__file__).parent
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(101)], ids=["q", "fp101"])
@@ -598,7 +598,7 @@ def test_tor_rejects_non_complexes(scene):
     S, N, table, _, _, _, _, _ = scene
     from torcheck.poly import WeightedPoly
 
-    one = WeightedPoly.constant(table, 1)
+    one = constant(table, 1)
     res = [PolyMatrix(table, [[one]]), PolyMatrix(table, [[one]])]
     with pytest.raises(NotAComplexError) as exc:
         tor_from_resolution(res, {}, N)
@@ -612,7 +612,7 @@ def test_tor_names_a_later_off_diagonal_entry(scene):
     S, N, table, _, _, _, _, _ = scene
 
     def constants(rows):
-        return PolyMatrix(table, [[WeightedPoly.constant(table, c) for c in row] for row in rows])
+        return PolyMatrix(table, [[constant(table, c) for c in row] for row in rows])
 
     res = [constants([[1, 0]]), constants([[0, 0], [0, 1]]), constants([[0, 0], [1, 0]])]
     with pytest.raises(NotAComplexError) as exc:
@@ -634,7 +634,7 @@ def test_tor_checks_composites_in_the_algebra_not_on_the_module():
     from torcheck.poly import WeightedPoly
 
     res = [
-        PolyMatrix(table, [[WeightedPoly.constant(table, 1)]]),
+        PolyMatrix(table, [[constant(table, 1)]]),
         PolyMatrix(table, [[WeightedPoly.variable(table, "s")]]),
     ]
     with pytest.raises(NotAComplexError) as exc:
@@ -689,7 +689,7 @@ def test_substitute_matrix_is_entrywise_substitution(field):
         table.add_var(name, 1)
     assignment = {"a": S.basis_element(0) + S.generator("s") * 2, "b": S.generator("t")}
     a, b = WeightedPoly.variable(table, "a"), WeightedPoly.variable(table, "b")
-    zero, three = WeightedPoly.zero(table), WeightedPoly.constant(table, 3)
+    zero, three = WeightedPoly.zero(table), constant(table, 3)
     rows = [[zero, a * b + three, zero], [a * a, WeightedPoly.zero(table), b - b]]
     got = substitute_matrix(PolyMatrix(table, rows), assignment, S)
     assert got == AlgebraMatrix(S, [[p.substitute(assignment, S) for p in row] for row in rows])
@@ -710,7 +710,7 @@ def test_substitution_commutes_with_sparse_products(field):
     def rand_entry():
         if rng.random() < 0.5:
             return WeightedPoly.zero(table)
-        p = WeightedPoly.constant(table, rng.randrange(-3, 4))
+        p = constant(table, rng.randrange(-3, 4))
         for _ in range(rng.randrange(0, 3)):
             exps = {rng.choice(("a", "b", "c")): rng.randrange(1, 3)}
             p = p + monomial(table, exps, rng.randrange(1, 5))

@@ -27,6 +27,8 @@ from torcheck.linalg import (
 )
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 
+from polys import constant
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -369,7 +371,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         M(QQ, [[1, 2], [3]])
     table = VarTable(QQ)
-    one = WeightedPoly.constant(table, 1)
+    one = constant(table, 1)
     with pytest.raises(ShapeError, match="ragged rows"):
         PolyMatrix(table, [[one, one], [one]])
     with pytest.raises(ShapeError):
@@ -398,7 +400,7 @@ def test_zero_dimension_matrices():
     table = VarTable(QQ)
     poly_no_rows = PolyMatrix(table, [], ncols=3)
     assert (poly_no_rows.nrows, poly_no_rows.ncols) == (0, 3)
-    one = WeightedPoly.constant(table, 1)
+    one = constant(table, 1)
     product = PolyMatrix(table, [], ncols=1) @ PolyMatrix(table, [[one] * 3])
     assert product == poly_no_rows
 

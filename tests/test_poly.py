@@ -13,7 +13,7 @@ from torcheck.cli import MAX_EXPONENT
 from torcheck.linalg import GF, QQ, FieldMismatchError
 from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly, _key_product
 
-from polys import monomial as mono
+from polys import constant, monomial as mono
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ def test_product_entry_is_bilinear_sum(xy_setup):
 
 def test_product_with_identity_and_zero(xy_setup):
     table, x, _ = xy_setup
-    one = WeightedPoly.constant(table, 1)
+    one = constant(table, 1)
     zero = WeightedPoly.zero(table)
     ident = PolyMatrix(table, [[one if i == j else zero for j in range(4)] for i in range(4)])
     assert x @ ident == x
@@ -86,7 +86,7 @@ def test_poly_arithmetic_distributes():
     idxs = [table.add_var("d%d" % i, 1) for i in range(3)]
 
     def rand_poly():
-        p = WeightedPoly.constant(table, rng.randrange(7))
+        p = constant(table, rng.randrange(7))
         for _ in range(rng.randrange(0, 3)):
             p = p + mono(table, {rng.choice(idxs): rng.randrange(1, 3)}, rng.randrange(7))
         return p
@@ -96,6 +96,17 @@ def test_poly_arithmetic_distributes():
         assert p * (q + r) == p * q + p * r
         assert (p + q) * r == p * r + q * r
         assert p * q == q * p
+
+
+def test_a_scalar_operand_is_not_a_polynomial():
+    # a scalar comes in as a constant polynomial, normalized where it is built
+    table = VarTable(GF(7))
+    p = mono(table, {table.add_var("a", 1): 1})
+    with pytest.raises(TypeError):
+        p * 2
+    with pytest.raises(TypeError):
+        2 * p
+    assert p * constant(table, 9) == mono(table, {"a": 1}, 2)
 
 
 def test_all_minors_size_too_large(xy_setup):
@@ -175,7 +186,7 @@ def cofactor_det(table, grid):
     """Reference determinant: expansion along the first row of explicit
     sub-grids, every minor recomputed where it is met."""
     if not grid:
-        return WeightedPoly.constant(table, 1)
+        return constant(table, 1)
     if len(grid) == 1:
         return grid[0][0]
     acc = WeightedPoly.zero(table)
@@ -217,7 +228,7 @@ def numeric_matrices(field):
         kind = rng.randrange(3)
         if kind == 0:
             return WeightedPoly.zero(table)
-        c = WeightedPoly.constant(table, rng.randrange(-3, 4))
+        c = constant(table, rng.randrange(-3, 4))
         return c if kind == 1 else c + mono(table, {"v": rng.randrange(1, 3)}, rng.randrange(-2, 3))
 
     return [
@@ -289,6 +300,22 @@ def test_minors_build_no_intermediate_polynomials(monkeypatch, xy_setup):
     minors = y.all_minors(3)
     assert calls == []
     assert len(minors) == 224
+
+
+def test_all_minors_build_one_polynomial_per_minor(monkeypatch, xy_setup):
+    # the cached 2x2 sub-minors stay (key, coeff) lists; only the 224 minors
+    # returned become polynomials
+    _, _, y = xy_setup
+    inits = []
+    init = WeightedPoly.__init__
+
+    def counting(self, table, terms):
+        inits.append(1)
+        init(self, table, terms)
+
+    monkeypatch.setattr(WeightedPoly, "__init__", counting)
+    minors = y.all_minors(3)
+    assert len(minors) == len(inits) == 224
 
 
 def test_minor_alternates_under_column_swap(xy_setup):
@@ -388,7 +415,7 @@ def test_substitute_displayed_minor(square_zero):
 def test_substitute_constant(square_zero):
     S, _, _ = square_zero
     table = VarTable(QQ)
-    c = WeightedPoly.constant(table, 7)
+    c = constant(table, 7)
     assert c.substitute({}, S) == 7 * S.basis_element(0)
 
 
@@ -411,7 +438,7 @@ def test_substitute_is_ring_homomorphism(square_zero):
         table.add_var(n, 1)
 
     def rand_poly():
-        p = WeightedPoly.constant(table, rng.randrange(-2, 3))
+        p = constant(table, rng.randrange(-2, 3))
         for _ in range(rng.randrange(0, 4)):
             exps = {n: rng.randrange(1, 3) for n in rng.sample(names, rng.randrange(1, 3))}
             p = p + mono(table, exps, rng.randrange(-2, 3))
@@ -666,6 +693,74 @@ def random_polys(rng, table, field, count):
             p = p + mono(table, exps, coeff)
         polys.append(p)
     return polys
+
+
+def comprehension_weighted_degree(p):
+    """Reference classification: one set of comprehension sums over the keys."""
+    if not p.terms:
+        return ("zero", None)
+    weights = p.table._weights
+    degrees = {sum([weights[idx] * e for idx, e in key]) for key in p.terms}
+    if len(degrees) == 1:
+        return ("homogeneous", degrees.pop())
+    return ("inhomogeneous", None)
+
+
+def comprehension_min_factor_count(p):
+    """Reference factor count: a comprehension sum per key."""
+    return min(sum([e for _, e in key]) for key in p.terms)
+
+
+@pytest.mark.parametrize("field", SUB_FIELDS, ids=["fp101", "fp2", "q"])
+def test_degree_and_factor_count_match_comprehension_copies(field):
+    rng = random.Random(31)
+    table = VarTable(field)
+    for name, weight in (("a", 1), ("b", 2), ("c", 3), ("d", 1)):
+        table.add_var(name, weight)
+    polys = random_polys(rng, table, field, 200)
+    # single terms, sums of two and minors of a generic matrix are homogeneous
+    # or not in every way a loop over the keys can stop
+    terms = [WeightedPoly(table, [term]) for p in polys for term in p.terms.items()]
+    y = PolyMatrix.generic(table, "y", 3, 3, 2)
+    polys += terms + [a + b for a, b in zip(terms, terms[1:])] + [WeightedPoly.zero(table)]
+    polys += [p for size in (1, 2, 3) for _, _, p in y.all_minors(size)]
+    assert any(() in p.terms for p in polys)
+    kinds = Counter()
+    for p in polys:
+        kind = p.weighted_degree()
+        assert kind == comprehension_weighted_degree(p), p
+        kinds[kind[0]] += 1
+        if p:
+            assert p.min_factor_count() == comprehension_min_factor_count(p), p
+        else:
+            with pytest.raises(ValueError, match="zero polynomial"):
+                p.min_factor_count()
+    assert kinds["zero"] and kinds["inhomogeneous"]
+    assert any(len(p.terms) > 2 and p.weighted_degree()[0] == "homogeneous" for p in polys)
+
+
+@pytest.mark.parametrize("field", SUB_FIELDS, ids=["fp101", "fp2", "q"])
+def test_difference_is_the_sum_with_the_negation(monkeypatch, field):
+    rng = random.Random(37)
+    table = VarTable(field)
+    for name in ("a", "b", "c"):
+        table.add_var(name, 1)
+    polys = random_polys(rng, table, field, 60)
+    pairs = list(zip(polys, polys[1:]))
+    pairs += [(p, p + q) for p, q in pairs] + [(p, p) for p in polys]
+    expected = [list((p + (-q)).terms.items()) for p, q in pairs]
+    negations = []
+    neg = WeightedPoly.__neg__
+
+    def counting(self):
+        negations.append(1)
+        return neg(self)
+
+    monkeypatch.setattr(WeightedPoly, "__neg__", counting)
+    # equal polynomials, with their terms in the same order
+    assert [list((p - q).terms.items()) for p, q in pairs] == expected
+    assert all(not p - p for p in polys)
+    assert negations == []
 
 
 @pytest.mark.parametrize("field", SUB_FIELDS, ids=["fp101", "fp2", "q"])

@@ -32,6 +32,8 @@ from torcheck.rigidity import (
     SpecializationData,
 )
 
+from polys import constant
+
 FIELD = GF(101)
 
 
@@ -462,7 +464,7 @@ def test_pd_witness_names_the_first_unit_row_major(data, spec, units, offender):
 def test_pd_witness_rejects_a_constant_term_in_x(data, spec):
     table = data.x.table
     rows = [list(r) for r in data.x.entries]
-    rows[1][2] = rows[1][2] + WeightedPoly.constant(table, 1)
+    rows[1][2] = rows[1][2] + constant(table, 1)
     with_constant = data._replace(x=PolyMatrix(table, rows))
     # under the bundled assignment the constant term is a unit of Xbar too
     result = check_pd_witness(with_constant, spec)

@@ -37,7 +37,7 @@ from torcheck.linalg import GF, QQ, Matrix, subspace_leq
 from torcheck.poly import PolyMatrix, VarTable, WeightedPoly
 from torcheck.rigidity import full_report
 
-from polys import monomial
+from polys import constant, monomial
 
 DATA = files("torcheck").joinpath("data")
 
@@ -256,7 +256,7 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
         a * b * b - a + b
         p, q = (
             monomial(table, {"x": 1}, rng.randrange(1, 101))
-            + WeightedPoly.constant(table, rng.randrange(101))
+            + constant(table, rng.randrange(101))
             for _ in range(2)
         )
         p * q - p + q
@@ -269,7 +269,7 @@ def test_elements_hold_normalized_coordinates(stored, capsys):
         for name in ("a", "b", "c"):
             table.add_var(name, 1)
         for _ in range(100):
-            p = WeightedPoly.constant(table, scalar())
+            p = constant(table, scalar())
             for _ in range(6):
                 exps = {n: rng.randrange(1, 4) for n in rng.sample(("a", "b", "c"), 2)}
                 p = p + monomial(table, exps, scalar())
