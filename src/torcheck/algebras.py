@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import lcm
 
-from .linalg import Matrix, ShapeError, subspace_leq
+from .linalg import Matrix, ShapeError, immutable, subspace_leq, unchecked
 
 
 class ArtinAlgebra:
@@ -63,18 +63,12 @@ class ArtinAlgebra:
         self._set(field, basis_names, table)
         self._validate()
 
-    @classmethod
-    def _raw(cls, field, basis_names, mult):
-        """Internal constructor for a table of normalized coordinate tuples
-        that satisfies the axioms by construction."""
-        a = cls.__new__(cls)
-        a._set(field, tuple(basis_names), mult)
-        return a
+    _raw = classmethod(unchecked)  # normalized coordinate tuples, axioms met by construction
 
     def _set(self, field, basis_names, mult):
         self.field = field
+        self.basis_names = basis_names = tuple(basis_names)
         self.dim = len(basis_names)
-        self.basis_names = basis_names
         self.mult = mult
         self.radical_indices = tuple(range(1, self.dim))
 
@@ -177,8 +171,7 @@ class AlgebraElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coords", tuple(coords))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
+    __setattr__ = immutable
 
     def _check(self, other):
         if self.algebra is not other.algebra and self.algebra != other.algebra:
@@ -333,17 +326,12 @@ class FDModule:
         check_module_axioms(algebra, actions)
         self._set(algebra, actions)
 
-    @classmethod
-    def _raw(cls, algebra, actions):
-        """Internal constructor for actions that satisfy the axioms by construction."""
-        m = cls.__new__(cls)
-        m._set(algebra, tuple(actions))
-        return m
+    _raw = classmethod(unchecked)  # actions that satisfy the axioms by construction
 
     def _set(self, algebra, actions):
         self.algebra = algebra
+        self.actions = actions = tuple(actions)
         self.dim = actions[0].nrows
-        self.actions = actions
 
     def __repr__(self):
         return "FDModule(dim %d over %r)" % (self.dim, self.algebra)

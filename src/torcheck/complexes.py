@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import Matrix, ShapeError, dense_product
+from .linalg import Matrix, ShapeError, dense_product, immutable, unchecked
 from .poly import Substitution
 
 
@@ -69,22 +69,16 @@ class AlgebraMatrix:
             raise ValueError("entry is not an element of the given algebra")
         # the public Matrix constructor checks the shape of each layer
         layers = ([[e.coords[l] for e in row] for row in rows] for l in range(algebra.dim))
-        self._set(algebra, tuple(Matrix(algebra.field, layer, ncols) for layer in layers))
+        self._set(algebra, (Matrix(algebra.field, layer, ncols) for layer in layers))
 
-    @classmethod
-    def _raw(cls, algebra, stack):
-        """Internal constructor for ``algebra.dim`` K-matrices of one shape,
-        their entries already in the algebra's field."""
-        m = cls.__new__(cls)
-        m._set(algebra, tuple(stack))
-        return m
+    _raw = classmethod(unchecked)  # ``algebra.dim`` K-matrices of one shape over the algebra field
 
     def _set(self, algebra, stack):
+        stack = tuple(stack)
         for name, value in zip(self.__slots__, (algebra, stack, stack[0].nrows, stack[0].ncols)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraMatrix is immutable")
+    __setattr__ = immutable
 
     def entry(self, i, j):
         return AlgebraElement(self.algebra, [m.entries[i][j] for m in self.stack])
@@ -220,16 +214,10 @@ class ChainComplex:
             _check_composite(maps[j + 1] @ maps[j], j, "composite of maps %d and %d is nonzero")
         self._set(maps)
 
-    @classmethod
-    def _raw(cls, maps):
-        """Internal constructor for maps that chain and compose to zero by
-        construction."""
-        cx = cls.__new__(cls)
-        cx._set(list(maps))
-        return cx
+    _raw = classmethod(unchecked)  # maps that chain and compose to zero by construction
 
     def _set(self, maps):
-        self.maps = maps
+        self.maps = maps = list(maps)
         self.dims = [maps[0].ncols] + [f.nrows for f in maps]
 
     def homology(self):

@@ -25,6 +25,11 @@ Field and polynomial matrices share one core, :class:`DenseMatrix`.  Its
 public constructor checks entries from outside; every matrix the library
 builds itself (products, substitutions, generic matrices, kernel and image
 bases, stacks) is made by the trusted ``_raw`` and not checked again.
+:func:`unchecked` and :func:`immutable` are the one definition of that
+policy: ``ArtinAlgebra``, ``DenseMatrix``, ``FDModule``, ``AlgebraMatrix``
+and ``ChainComplex`` bind ``_raw = classmethod(unchecked)``, and
+``AlgebraElement``, ``DenseMatrix``, ``WeightedPoly`` and ``AlgebraMatrix``
+bind ``__setattr__ = immutable``.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ class ShapeError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
     if n % 2 == 0:
         return n == 2
     d = 3
@@ -176,6 +179,20 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def unchecked(cls, *parts):
+    """A ``cls`` made by ``cls.__new__`` and its ``_set(*parts)``, with no
+    check: the trusted constructor, for parts that already meet the class's
+    invariants.  A class binds it as ``_raw = classmethod(unchecked)``."""
+    obj = cls.__new__(cls)
+    obj._set(*parts)
+    return obj
+
+
+def immutable(obj, name, value):
+    """``__setattr__`` of a value type: no attribute is set after ``_set``."""
+    raise AttributeError("%s is immutable" % type(obj).__name__)
+
+
 def _check_same_field(a, b):
     if a.field != b.field:
         raise FieldMismatchError("mixed coefficient fields: %r vs %r" % (a.field, b.field))
@@ -203,21 +220,16 @@ class DenseMatrix:
             ncols = 0
         self._set(ring, rows, ncols)
 
-    @classmethod
-    def _raw(cls, ring, rows, ncols):
-        """Internal constructor for rows of ``ncols`` entries already in the ring."""
-        m = cls.__new__(cls)
-        m._set(ring, tuple(tuple(r) for r in rows), ncols)
-        return m
+    _raw = classmethod(unchecked)  # rows of ``ncols`` entries already in the ring
 
     def _set(self, ring, rows, ncols):
+        rows = tuple(tuple(r) for r in rows)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "entries", rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
+    __setattr__ = immutable
 
     def entry(self, i, j):
         return self.entries[i][j]
@@ -369,11 +381,8 @@ class Matrix(DenseMatrix):
         rows, pivots = self._eliminate(True)
         out = []
         for row, pc in zip(rows, pivots):
-            if isinstance(f, PrimeField):
-                inv = f.inv(row[pc])
-                out.append([x * inv % f.p for x in row])
-            else:
-                out.append([f.reduce(Fraction(x, row[pc])) for x in row])
+            inv = f.inv(row[pc])
+            out.append([f.reduce(x * inv) for x in row])
         out += [[0] * self.ncols] * (self.nrows - len(pivots))
         return Matrix._raw(f, out, self.ncols), pivots
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from .algebras import AlgebraElement
-from .linalg import DenseMatrix, FieldMismatchError, dense_product, readable
+from .linalg import DenseMatrix, FieldMismatchError, dense_product, immutable, readable
 
 
 class VarTable:
@@ -216,8 +216,7 @@ class WeightedPoly:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "terms", dict(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedPoly is immutable")
+    __setattr__ = immutable
 
     # -- constructors -------------------------------------------------
 

@@ -427,8 +427,8 @@ def run_tor_checks(data: GenericComplexData, spec: SpecializationData):
         )
     )
 
-    image_x = same_span(fx.image_basis(), middle.radical_submodule())
-    image_y = same_span(fy.image_basis(), target.radical_submodule())
+    image_x = same_span(fx, middle.radical_submodule())
+    image_y = same_span(fy, target.radical_submodule())
     checks.append(
         CheckResult(
             "image_identities",

@@ -9,6 +9,7 @@ from torcheck.algebras import (
     FDModule,
     Subspace,
     block_operator,
+    check_module_axioms,
     free_module,
     monomial_square_zero_algebra,
 )
@@ -167,6 +168,11 @@ def test_nonassociative_table_rejected():
         ArtinAlgebra(QQ, ["1", "a", "b", "c", "d"], mult)
 
 
+def test_duplicate_basis_names_rejected():
+    with pytest.raises(ValueError, match="duplicate basis names"):
+        ArtinAlgebra(QQ, ["1", "s", "s"], _table(3, {}))
+
+
 # -- free modules -----------------------------------------------------------
 
 
@@ -192,6 +198,29 @@ def test_module_axioms_enforced(S):
     bad = [Matrix.identity(QQ, 1), Matrix.identity(QQ, 1), Matrix(QQ, [[0]])]
     with pytest.raises(ValueError, match="structure constants"):
         FDModule(S, bad)
+
+
+@pytest.mark.parametrize(
+    "actions, message",
+    [
+        ([Matrix.identity(QQ, 1)] * 2, "one action operator per algebra basis element"),
+        ([Matrix.identity(QQ, 1)] * 2 + [Matrix(QQ, [[0, 0]])], "must be square"),
+        ([Matrix.identity(QQ, 1)] * 2 + [Matrix.identity(GF(5), 1)], "over the algebra field"),
+    ],
+    ids=["count", "shape", "field"],
+)
+def test_action_operators_must_fit_the_algebra(S, actions, message):
+    with pytest.raises(ValueError, match=message):
+        check_module_axioms(S, actions)
+    with pytest.raises(ValueError, match=message):
+        FDModule(S, actions)
+
+
+def test_valid_actions_make_a_module(S):
+    F = free_module(S, 2)
+    M = FDModule(S, list(F.actions))
+    assert (M.algebra, M.dim, M.actions) == (S, 6, F.actions)
+    assert M.radical_power_subspace(1).ncols == 4
 
 
 def test_noncommuting_operators_rejected(S):
@@ -283,6 +312,11 @@ def test_radical_powers(S):
     assert M.radical_power_subspace(0).ncols == 6
     assert M.radical_power_subspace(1).ncols == 4
     assert M.radical_power_subspace(2).ncols == 0
+
+
+def test_negative_radical_power_rejected(S):
+    with pytest.raises(ValueError, match="power must be non-negative"):
+        free_module(S, 1).radical_power_subspace(-1)
 
 
 # -- direct sums and length -----------------------------------------------------

@@ -450,6 +450,56 @@ def test_describe_garbage(capsys):
     assert "not valid JSON" in err
 
 
+MISSING = str(FIXTURES / "no_such_document.json")
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (FIXTURES / "relations_not_a_list.json", '"module.relations" must be a list\n'),
+        (FIXTURES / "short_relation.json", "relations[0]: a relation needs 2 algebra elements\n"),
+        (FIXTURES / "missing_entry_row.json", "maps[0]: need 2 entry rows\n"),
+        (FIXTURES / "short_matrix_row.json", "matrices[0]: row 0 needs 2 entries\n"),
+        (FIXTURES / "bad_term.json", "matrices[0][0][0]: term 1 must be [coeff, monomial]\n"),
+        (
+            FIXTURES / "monomial_not_an_object.json",
+            "matrices[0][0][0]: term 0 monomial must map names to exponents\n",
+        ),
+        (FIXTURES / "not_an_object.json", "document must be a JSON object\n"),
+        (FIXTURES / "unchained_complex.json", "maps 0 and 1 do not chain: 1x2 then 1x1\n"),
+        # the operating system words the reason; the line names the path
+        (MISSING, "cannot read %s: " % MISSING),
+    ],
+    ids=[
+        "relations",
+        "relation-length",
+        "entry-rows",
+        "row-length",
+        "term",
+        "monomial",
+        "document",
+        "unchained-maps",
+        "unreadable",
+    ],
+)
+def test_malformed_document_is_one_error_line(capsys, path, message):
+    rc, out, err = run(capsys, "describe", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_text_report_names_the_first_failing_check(monkeypatch):
+    # the negative control of a wrong image of y11: ybar no longer matches
+    spec = rigidity.build_specialization(GF(101))
+    corrupted = spec._replace(assignment={**spec.assignment, "y11": spec.algebra.generator("t")})
+    monkeypatch.setattr(rigidity, "build_specialization", lambda field: corrupted)
+    text = cli.render_report_text(rigidity.full_report(GF(101)))
+    assert "  [FAIL] specialization_matrices " in text
+    assert "ALL CHECKS PASS" not in text
+    assert text.endswith("\nFAILED: first failing check is specialization_matrices\n")
+
+
 # -- usage ---------------------------------------------------------------------
 
 

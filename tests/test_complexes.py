@@ -19,6 +19,7 @@ from torcheck.complexes import (
     ChainComplex,
     ModuleMap,
     NotAComplexError,
+    check_module_map,
     induced_map,
     substitute_matrix,
     tor_from_resolution,
@@ -369,6 +370,28 @@ def test_non_equivariant_map_rejected(scene):
         ModuleMap(M, M, picks_s_coefficient)
 
 
+def test_maps_and_matrices_over_another_algebra_rejected(scene):
+    S, N, _, _, _, _, Xbar, _ = scene
+    other = monomial_square_zero_algebra(S.field, ["u", "v"])
+    M = free_module(other, 1)
+    with pytest.raises(ValueError, match="matrices over different algebras"):
+        Xbar @ AlgebraMatrix(other, [[other.generator("u")]] * 4)
+    with pytest.raises(ValueError, match="matrix and module over different algebras"):
+        induced_map(Xbar, M)
+    with pytest.raises(ValueError, match="source and target over different algebras"):
+        check_module_map(N, M, Matrix(S.field, [[0] * 3] * 3))
+
+
+def test_module_map_shape_must_match_the_modules(scene):
+    S, N, _, _, _, _, _, _ = scene
+    F = free_module(S, 2)
+    message = "matrix shape 3x6 does not map dim 3 to dim 6"
+    with pytest.raises(ShapeError, match=message):
+        check_module_map(N, F, Matrix(S.field, [[0] * 6] * 3))
+    with pytest.raises(ShapeError, match=message):
+        ModuleMap(N, F, Matrix(S.field, [[0] * 6] * 3))
+
+
 def test_radical_entries_map_into_radical(scene):
     S, N, _, _, _, _, Xbar, Ybar = scene
     from torcheck.linalg import subspace_leq
@@ -425,6 +448,11 @@ def test_chain_complex_validates(scene):
     assert (exc.value.position, exc.value.entry) == (1, (1, 0))
     with pytest.raises(ShapeError, match="maps 0 and 1 do not chain"):
         ChainComplex([fx, fx])
+
+
+def test_chain_complex_needs_a_map():
+    with pytest.raises(ValueError, match="a complex needs at least one map"):
+        ChainComplex([])
 
 
 # -- tor_from_resolution --------------------------------------------------------

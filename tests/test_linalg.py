@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torcheck import linalg
+from torcheck.algebras import monomial_square_zero_algebra
 from torcheck.cli import parse_complex_doc
-from torcheck.complexes import induced_map
+from torcheck.complexes import AlgebraMatrix, induced_map
 from torcheck.linalg import (
     GF,
     QQ,
@@ -388,6 +389,74 @@ def test_from_cols_rejects_a_longer_later_column():
 def test_from_cols_rejects_a_shorter_later_column():
     with pytest.raises(ShapeError, match="ragged columns"):
         Matrix.from_cols(GF(5), [(1, 2, 3), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GF(9), ValueError, "9 is not prime"),
+        (lambda: QQ.inv(0), ZeroDivisionError, "inverse of zero"),
+        (lambda: GF(7).inv(14), ZeroDivisionError, "inverse of zero"),
+        (lambda: GF(7).normalize(0.5), TypeError, "floating point values are not exact"),
+        (lambda: GF(7).normalize(Fraction(3, 14)), ZeroDivisionError, "denominator divisible by 7"),
+        (lambda: Matrix.from_cols(QQ, []), ShapeError, "nrows required"),
+        (
+            lambda: Matrix.identity(QQ, 2).hstack(Matrix.identity(QQ, 3)),
+            ShapeError,
+            "hstack row counts differ: 2 vs 3",
+        ),
+    ],
+    ids=[
+        "odd-composite",
+        "inverse-of-zero-q",
+        "inverse-of-zero-fp",
+        "float-fp",
+        "denominator-fp",
+        "from-cols-no-nrows",
+        "hstack-rows",
+    ],
+)
+def test_field_and_shape_errors_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+# -- value types --------------------------------------------------------------
+
+
+def test_equal_values_hash_alike():
+    # equal values of each hashable value type, built apart
+    S = monomial_square_zero_algebra(GF(7), ["s", "t"])
+    table = VarTable(QQ)
+    x, y = (WeightedPoly.variable(table, table.add_var(n, 1)) for n in "xy")
+    halves = [(Fraction(2, 2),), (Fraction(2, 4),)]
+    pairs = [
+        (S.element([1, 2, 0]), S.element([8, Fraction(4, 2), 7])),
+        (Matrix(QQ, [[1, Fraction(1, 2)]]), Matrix.from_cols(QQ, halves)),
+        (x + y, y + x),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_every_value_type_refuses_assignment():
+    S = monomial_square_zero_algebra(GF(7), ["s", "t"])
+    table = VarTable(QQ)
+    one = constant(table, 1)
+    values = [
+        (S.generator("s"), "coords"),
+        (one, "terms"),
+        (Matrix.identity(QQ, 2), "entries"),
+        (PolyMatrix(table, [[one]]), "entries"),
+        (AlgebraMatrix(S, [[S.generator("t")]]), "stack"),
+    ]
+    for value, stored in values:
+        before = getattr(value, stored)
+        for name in (stored, "other"):
+            with pytest.raises(AttributeError, match="^%s is immutable$" % type(value).__name__):
+                setattr(value, name, None)
+        assert getattr(value, stored) is before and not hasattr(value, "other")
 
 
 def test_zero_dimension_matrices():

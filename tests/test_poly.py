@@ -56,6 +56,25 @@ def test_weights_must_be_positive():
         table.add_var("a", 0)
 
 
+def test_unknown_variable_name_rejected():
+    table = VarTable(QQ)
+    table.add_var("a", 1)
+    with pytest.raises(ValueError, match="unknown variable 'b'"):
+        table.index_of("b")
+    with pytest.raises(ValueError, match="unknown variable 'b'"):
+        WeightedPoly.variable(table, "b")
+
+
+def test_operands_over_different_tables_rejected(xy_setup):
+    table, x, _ = xy_setup
+    other = VarTable(QQ)
+    other_x = PolyMatrix.generic(other, "x", 2, 4, 2)
+    with pytest.raises(ValueError, match="polynomials use different variable tables"):
+        x.entry(0, 0) + other_x.entry(0, 0)
+    with pytest.raises(ValueError, match="matrices use different variable tables"):
+        x @ PolyMatrix.generic(other, "y", 4, 1, 3)
+
+
 # -- matrix product ------------------------------------------------------
 
 
@@ -159,6 +178,11 @@ def test_minor_rejects_bad_indices(xy_setup):
         x.minor([0, 2], [0, 1])
     with pytest.raises(ValueError, match="equal length"):
         x.minor([0], [0, 1])
+
+
+def test_empty_minor_is_one(xy_setup):
+    table, x, _ = xy_setup
+    assert x.minor([], []) == constant(table, 1)
 
 
 def test_one_by_one_minor_is_entry(xy_setup):

@@ -169,3 +169,44 @@ def test_every_function_is_named_outside_the_tests():
         if name.rpartition(".")[2] not in (attributes if "." in name else attributes | loaded)
     ]
     assert unnamed == ["ArtinAlgebra.element", "WeightedPoly.substitute"]
+
+
+def test_trusted_construction_and_immutability_are_defined_once():
+    # each value is checked where it comes in, then built unchecked and never
+    # changed; linalg.unchecked and linalg.immutable are that policy's one text
+    copies, guard_raises, raw_classes, frozen_classes = [], [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                if node.name in ("_raw", "__setattr__"):
+                    copies.append("%s: %s" % (path.name, node.name))
+                guard_raises += [
+                    "%s: %s" % (path.name, node.name)
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Raise) and "is immutable" in ast.unparse(sub)
+                ]
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.Assign) and len(item.targets) == 1:
+                    name, value = getattr(item.targets[0], "id", None), ast.unparse(item.value)
+                    if name == "_raw":
+                        assert value == "classmethod(unchecked)", node.name
+                        raw_classes.append(node.name)
+                    elif name == "__setattr__":
+                        assert value == "immutable", node.name
+                        frozen_classes.append(node.name)
+    assert copies == []
+    assert guard_raises == ["linalg.py: immutable"]
+    assert sorted(raw_classes) == [
+        "AlgebraMatrix",
+        "ArtinAlgebra",
+        "ChainComplex",
+        "DenseMatrix",
+        "FDModule",
+    ]
+    frozen = ["AlgebraElement", "AlgebraMatrix", "DenseMatrix", "WeightedPoly"]
+    assert sorted(frozen_classes) == frozen
+    # the helpers belong to the library, not to its exported surface
+    assert not {"unchecked", "immutable"} & set(vars(torcheck))
