@@ -31,8 +31,6 @@ The length of a module over such an algebra equals its K-dimension, because
 the only simple module is the 1-dimensional residue field.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import compress, count
 from math import lcm

@@ -26,12 +26,8 @@ products, substitutions and the matrices the command line has parsed and
 checked are built from their stacks by the trusted ``_raw``.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
 from .algebras import AlgebraElement, FDModule, block_operator
-from .linalg import Matrix, ShapeError, dense_product, immutable, unchecked
+from .linalg import Matrix, ShapeError, dense_product, immutable, record, unchecked
 from .poly import Substitution
 
 
@@ -190,7 +186,7 @@ def induced_map(a: AlgebraMatrix, module: FDModule) -> Matrix:
     return block_operator(module.algebra.field, module.actions, a.stack, module.dim)
 
 
-class HomologySummary(namedtuple("HomologySummary", "length kernel_dim image_dim")):
+class HomologySummary(record("HomologySummary", "length kernel_dim image_dim")):
     """Homology at one module: its length (kernel dim - image dim) and both dims."""
 
     __slots__ = ()
@@ -231,7 +227,7 @@ class ChainComplex:
         return out
 
 
-class TorReport(namedtuple("TorReport", "degrees complex")):
+class TorReport(record("TorReport", "degrees complex")):
     """Homology of a specialized resolution tensored with a module.
 
     ``degrees[i]`` is the summary in homological degree i (degree 0 is the

@@ -29,14 +29,17 @@ bases, stacks) is made by the trusted ``_raw`` and not checked again.
 policy: ``ArtinAlgebra``, ``DenseMatrix``, ``FDModule``, ``AlgebraMatrix``
 and ``ChainComplex`` bind ``_raw = classmethod(unchecked)``, and
 ``AlgebraElement``, ``DenseMatrix``, ``WeightedPoly`` and ``AlgebraMatrix``
-bind ``__setattr__ = immutable``.
+bind ``__setattr__ = immutable``.  Beside them, :func:`record` is the one
+definition of the package's result records (``HomologySummary``,
+``TorReport``, ``GenericComplexData``, ``SpecializationData``,
+``CheckResult`` and ``VerificationReport``): tuples with named fields, built
+without compiling source, so importing the package stays cheap.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import lcm
+from operator import itemgetter
 
 
 class FieldMismatchError(ValueError):
@@ -191,6 +194,40 @@ def unchecked(cls, *parts):
 def immutable(obj, name, value):
     """``__setattr__`` of a value type: no attribute is set after ``_set``."""
     raise AttributeError("%s is immutable" % type(obj).__name__)
+
+
+def record(typename, field_names):
+    """A ``tuple`` subclass named ``typename`` whose items are read by the
+    space-separated ``field_names``: built as ``R(*values)`` or
+    ``R(name=value, ...)``, copied with changes by ``_replace(name=value)``,
+    listed by ``_fields`` and shown as ``R(name=value, ...)``; equality and
+    hash are the tuple's.  It is built by ``type()`` from plain functions,
+    so unlike the standard library's named tuples it compiles no source.  A
+    subclass without ``__slots__`` gets an instance dict, which ``_replace``
+    does not copy."""
+    fields = tuple(field_names.split())
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs and kwargs.keys() == set(fields[len(args) :]):
+            args += tuple(map(kwargs.__getitem__, fields[len(args) :]))
+        elif kwargs or len(args) != len(fields):
+            raise TypeError(
+                "%s takes (%s); got %d positional values and the keywords %s"
+                % (typename, ", ".join(fields), len(args), ", ".join(kwargs) or "none")
+            )
+        return tuple.__new__(cls, args)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(fields, self), **changes))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map("%s=%r".__mod__, zip(fields, self))))
+
+    namespace = {name: property(itemgetter(i)) for i, name in enumerate(fields)}
+    namespace.update(
+        __slots__=(), _fields=fields, __new__=__new__, _replace=_replace, __repr__=__repr__
+    )
+    return type(typename, (tuple,), namespace)
 
 
 def _check_same_field(a, b):
@@ -410,6 +447,15 @@ class Matrix(DenseMatrix):
         return Matrix._raw(self.field, [[row[j] for j in kept] for row in self.entries], len(kept))
 
 
+def check_product_shape(a, b):
+    """Raise :class:`ShapeError` unless the dense matrices ``a`` and ``b``
+    (``nrows``, ``ncols``) can be multiplied as ``a @ b``."""
+    if a.ncols != b.nrows:
+        raise ShapeError(
+            "product shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
+        )
+
+
 def dense_product(a, b, zero):
     """Rows of ``a @ b`` for dense matrices (``nrows``, ``ncols``, row-major
     ``entries``) of ring elements that are false exactly when zero; ``zero``
@@ -418,10 +464,7 @@ def dense_product(a, b, zero):
     number the sum over k of the non-zeros in column k of ``a`` times those in
     row k of ``b``.  Sums are left as ``+`` gives them; a field caller reduces
     them."""
-    if a.ncols != b.nrows:
-        raise ShapeError(
-            "product shape mismatch: %dx%d @ %dx%d" % (a.nrows, a.ncols, b.nrows, b.ncols)
-        )
+    check_product_shape(a, b)
     b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
     rows = []
     for row in a.entries:

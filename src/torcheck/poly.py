@@ -6,16 +6,18 @@ identify variables by table index internally, so the table may keep growing
 after a polynomial is created (generic matrices extend it); names matter only
 for input, output and substitution.
 
-Coefficients are exact field values from :mod:`torcheck.linalg`.  Sums,
-differences, products and parsed polynomials share one accumulator,
-:func:`sum_terms`, which adds ``(monomial, coefficient)`` pairs up in one dict
-and reduces each sum once; a minor adds its terms up the same way.  A monomial key is a sorted tuple of (variable
-index, exponent) pairs, so when every index of one factor is below every index
-of the other, the product's key is the two keys concatenated; only other pairs
-are merged exponent by exponent.  A :class:`PolyMatrix` is a
-:class:`~torcheck.linalg.DenseMatrix` over a table: its public constructor
-checks that each entry from outside uses the table, and products, generic
-matrices and parsed matrices are built by the trusted ``_raw``.
+Coefficients are exact field values from :mod:`torcheck.linalg`.  Every
+polynomial is added up in one dict per result and each sum reduced once:
+sums, differences and parsed polynomials through :func:`sum_terms`, the
+product of two polynomials and each entry of a matrix product through
+``_add_products``, and a minor in a loop of its own.  A monomial key is a
+sorted tuple of (variable index, exponent) pairs, so when every index of one
+factor is below every index of the other, the product's key is the two keys
+concatenated; only other pairs are merged exponent by exponent.  A
+:class:`PolyMatrix` is a :class:`~torcheck.linalg.DenseMatrix` over a table:
+its public constructor checks that each entry from outside uses the table,
+and products, generic matrices and parsed matrices are built by the trusted
+``_raw``.
 
 A :class:`Substitution` is the map from the polynomials over one table into
 one :class:`~torcheck.algebras.ArtinAlgebra` that an assignment of images to
@@ -28,7 +30,8 @@ the ``(variable index, exponent)`` pairs of the monomial keys themselves, so
 valuing a monomial builds no tuple per factor once its powers are kept.
 
 Minors are expanded along their first row.  The signed products of the
-cofactors are added up in one dict per minor, in one loop, and the minors of
+cofactors are added up in one dict per minor, in one loop that folds in each
+cofactor's sign and makes no call per cofactor, and the minors of
 the rows below are cached for one :meth:`PolyMatrix.all_minors` call as
 ``(key, coeff)`` lists, so each smaller minor is built once and only the
 minors returned become polynomials.
@@ -38,12 +41,10 @@ set or generator comprehension is a function call of its own, and most keys
 hold only a few pairs, so one comprehension per key costs more than its work.
 """
 
-from __future__ import annotations
-
 from itertools import chain, combinations
 
 from .algebras import AlgebraElement
-from .linalg import DenseMatrix, FieldMismatchError, dense_product, immutable, readable
+from .linalg import DenseMatrix, FieldMismatchError, check_product_shape, immutable, readable
 
 
 class VarTable:
@@ -91,8 +92,14 @@ def sum_terms(table, pairs):
     for key, c in pairs:
         old = get(key)
         acc[key] = c if old is None else old + c
+    return _reduced(table, acc)
+
+
+def _reduced(table, sums):
+    """The polynomial with the terms of the dict ``sums`` (key -> unreduced
+    sum), each sum reduced once and the zero sums dropped."""
     reduce = table.field.reduce
-    return WeightedPoly(table, {key: r for key, c in acc.items() if (r := reduce(c))})
+    return WeightedPoly(table, {key: r for key, c in sums.items() if (r := reduce(c))})
 
 
 def _key_product(ka, kb):
@@ -111,14 +118,17 @@ def _key_product(ka, kb):
     return tuple(sorted(exps.items()))
 
 
-def _product_terms(a, b):
-    """The list of ``(key, coeff)`` pairs of the term-by-term product of the
-    polynomials ``a`` and ``b``."""
-    right = list(b.terms.items())
-    out = []
-    for ka, ca in a.terms.items():
-        out += [(_key_product(ka, kb), ca * cb) for kb, cb in right]
-    return out
+def _add_products(sums, left, right):
+    """Add the products of the ``(key, coeff)`` pairs of ``left`` with those
+    of ``right`` into the dict ``sums`` (key -> unreduced sum), in the order
+    of :func:`sum_terms`."""
+    get = sums.get
+    for ka, ca in left:
+        last = ka[-1][0] if ka else -1
+        for kb, cb in right:
+            # the fast case of _key_product, inlined
+            key = ka + kb if kb and last < kb[0][0] else _key_product(ka, kb)
+            sums[key] = get(key, 0) + ca * cb
 
 
 def _coordinate_power(algebra, base, exp):
@@ -252,7 +262,9 @@ class WeightedPoly:
         if not isinstance(other, WeightedPoly):
             return NotImplemented
         self._check_table(other)
-        return sum_terms(self.table, _product_terms(self, other))
+        sums = {}
+        _add_products(sums, self.terms.items(), tuple(other.terms.items()))
+        return _reduced(self.table, sums)
 
     def __eq__(self, other):
         return (
@@ -358,9 +370,23 @@ class PolyMatrix(DenseMatrix):
         return cls._raw(table, rows, ncols)
 
     def __matmul__(self, other):
+        """Entry (i, j) adds up the terms of the products ``a[i][k] b[k][j]``
+        of non-zero entries in one dict and is reduced once, as a minor is;
+        one polynomial is built per entry."""
         if self.table is not other.table:
             raise ValueError("matrices use different variable tables")
-        rows = dense_product(self, other, WeightedPoly.zero(self.table))
+        check_product_shape(self, other)
+        right = [
+            [(j, tuple(y.terms.items())) for j, y in enumerate(row) if y] for row in other.entries
+        ]
+        rows = []
+        for row in self.entries:
+            sums = [{} for _ in range(other.ncols)]
+            for x, terms in zip(row, right):
+                if terms and x:
+                    for j, y_terms in terms:
+                        _add_products(sums[j], x.terms.items(), y_terms)
+            rows.append([_reduced(self.table, entry) for entry in sums])
         return PolyMatrix._raw(self.table, rows, other.ncols)
 
     def minor(self, row_idx, col_idx):

@@ -30,14 +30,11 @@ each "measured equals expected" check is one call of :func:`compare`.
 negative control calls the check functions directly on modified data.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
 from itertools import combinations
 
 from .algebras import FDModule, free_module, monomial_square_zero_algebra
 from .complexes import AlgebraMatrix, NotAComplexError, substitute_matrix, tor_from_specialized
-from .linalg import same_span
+from .linalg import record, same_span
 from .poly import PolyMatrix, Substitution, VarTable, WeightedPoly
 
 EXPECTED_TOR = (16, 0, 2)
@@ -74,7 +71,7 @@ NOT_CONSTRUCTED = (
 
 
 class GenericComplexData(
-    namedtuple("GenericComplexData", "table x y xy_entries minors3 f g u_relations")
+    record("GenericComplexData", "table x y xy_entries minors3 f g u_relations")
 ):
     """The symbolic side: variables, matrices and relation generators.
 
@@ -117,7 +114,7 @@ def relation_label(class_name, key) -> str:
     return DERIVED_CLASSES[class_name][0] % parts
 
 
-class SpecializationData(namedtuple("SpecializationData", "assignment module")):
+class SpecializationData(record("SpecializationData", "assignment module")):
     """The specialized side: the assignment, the one record of R -> S, and N.
 
     Xbar and Ybar are X and Y substituted through the assignment
@@ -150,7 +147,11 @@ class SpecializationData(namedtuple("SpecializationData", "assignment module")):
         return kept[id(m)][1]
 
 
-CheckResult = namedtuple("CheckResult", "name passed details")
+class CheckResult(record("CheckResult", "name passed details")):
+    """One check of the battery: its name, whether it passed, and the
+    measured and expected values or the offender that the report shows."""
+
+    __slots__ = ()
 
 
 def compare(name, key, measured, expected) -> CheckResult:
@@ -158,9 +159,7 @@ def compare(name, key, measured, expected) -> CheckResult:
     return CheckResult(name, measured == expected, {key: measured, "expected": expected})
 
 
-class VerificationReport(
-    namedtuple("VerificationReport", "field_label checks tor betti lengths")
-):
+class VerificationReport(record("VerificationReport", "field_label checks tor betti lengths")):
     """The battery's outcome over one field.
 
     ``checks`` holds the :class:`CheckResult` of each check in run order,
