@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -42,17 +43,23 @@ def digit_limit():
 
 
 def test_cli_import_loads_no_code_generators():
-    # every command pays for this import; the records are named tuples, so
-    # nothing generates classes through dataclasses, inspect or typing; and
-    # the command line is read without argparse, which a tor op would pay
+    # every command pays for this import, after json and fractions (whose
+    # decimal module makes a named tuple); the records come from linalg.record,
+    # so nothing generates classes through dataclasses, inspect or typing, and
+    # no collections.namedtuple compiles source; no module imports __future__;
+    # and the command line is read without argparse, which a tor op would pay
     # for with gettext, locale and shutil
     package_dir = str(Path(torcheck.__file__).parent.parent)
     script = textwrap.dedent(
         """
-        import io, sys
+        import collections, fractions, io, json, sys
+        def refuse(*args, **kwargs):
+            raise AssertionError('collections.namedtuple called')
+        collections.namedtuple = refuse
         sys.path.insert(0, %r)
         import torcheck.cli
-        print(' '.join(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))
+        generators = ('__future__', 'dataclasses', 'inspect', 'typing')
+        print(' '.join(m for m in generators if m in sys.modules))
         sys.stdout, stdout = io.StringIO(), sys.stdout
         rc = torcheck.cli.main(['tor', %r, %r, '--format', 'json'])
         sys.stdout = stdout
@@ -64,6 +71,68 @@ def test_cli_import_loads_no_code_generators():
         [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines() == ["", "0"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["describe", MOD], 0),
+        (["homology", str(FIXTURES / "bad_complex.json")], 1),
+        (["describe", str(FIXTURES / "not_an_object.json")], 2),
+        (["verify", "--format", "xml"], 2),
+        (["--help"], 0),
+        (["tor", "--help"], 0),
+    ],
+    ids=["ok", "failed-check", "input-error", "usage-error", "help", "command-help"],
+)
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch, enabled, argv, code):
+    during = []
+    load_json = cli.load_json
+
+    def noting(path):
+        during.append(gc.isenabled())
+        return load_json(path)
+
+    monkeypatch.setattr(cli, "load_json", noting)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        rc, _, _ = run(capsys, *argv)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (rc, after) == (code, enabled)
+    assert during == ([False] if argv[0] in ("describe", "homology") else [])
+
+
+def garbage_after(call):
+    """The objects that one ``gc.collect()`` frees after ``call()``, run with
+    the collector paused and after a collection of its own."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["tor", RES, MOD], ["homology", data_path("complex.json")]],
+    ids=["verify", "tor", "homology"],
+)
+def test_commands_leave_no_cyclic_garbage(capsys, argv):
+    # the premise of pausing the collector in main: a text report makes no
+    # reference cycle, and a JSON report only those that json.dumps with an
+    # indent makes, the closures of its pure-Python encoder
+    dumps_garbage = garbage_after(lambda: json.dumps({"a": [1, {"b": 2}]}, indent=2))
+    assert garbage_after(lambda: main(argv)) == 0
+    assert garbage_after(lambda: main(argv + ["--format", "json"])) <= dumps_garbage
+    capsys.readouterr()
 
 
 # -- verify ------------------------------------------------------------------

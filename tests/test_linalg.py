@@ -459,6 +459,61 @@ def test_every_value_type_refuses_assignment():
         assert getattr(value, stored) is before and not hasattr(value, "other")
 
 
+def test_record_is_a_tuple_with_named_fields():
+    Point = linalg.record("Point", "x y z")
+    p = Point(1, 2, 3)
+    assert p == Point(x=1, y=2, z=3) == Point(1, z=3, y=2) == (1, 2, 3)
+    assert hash(p) == hash((1, 2, 3)) and isinstance(p, tuple)
+    assert (p.x, p.y, p.z, p[1]) == (1, 2, 3, 2)
+    assert Point._fields == ("x", "y", "z") and Point.__name__ == "Point"
+    assert repr(Point(1, "a", (2,))) == "Point(x=1, y='a', z=(2,))"
+    changed = p._replace(y=5)
+    assert type(changed) is Point and changed == (1, 5, 3) and p == (1, 2, 3)
+    assert p._replace() == p
+    for name in ("x", "w"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda R: R(1, 2),
+        lambda R: R(1, 2, 3, 4),
+        lambda R: R(x=1, y=2),
+        lambda R: R(1, 2, w=3),
+        lambda R: R(1, 2, 3, x=1),
+        lambda R: R(1, x=1, y=2, z=3),
+        lambda R: R(1, 2, 3)._replace(w=1),
+    ],
+    ids=["missing", "extra", "missing-keyword", "unknown", "repeated", "repeated-early", "replace"],
+)
+def test_record_rejects_a_missing_or_unknown_field(build):
+    Point = linalg.record("Point", "x y z")
+    with pytest.raises(TypeError, match=r"^Point takes \(x, y, z\); got "):
+        build(Point)
+
+
+def test_record_subclass_without_slots_keeps_an_instance_dict():
+    # GenericComplexData and SpecializationData keep derived values there
+    Point = linalg.record("Point", "x y z")
+
+    class Cached(Point):
+        def total(self):
+            return vars(self).setdefault("total", sum(self))
+
+    class Slotted(Point):
+        __slots__ = ()
+
+    c = Cached(1, 2, 3)
+    assert c.total() == 6 and vars(c) == {"total": 6}
+    assert c == Point(1, 2, 3) and hash(c) == hash((1, 2, 3))
+    assert repr(c) == "Cached(x=1, y=2, z=3)"
+    copy = c._replace(x=4)
+    assert type(copy) is Cached and vars(copy) == {} and copy.total() == 9
+    assert not hasattr(Slotted(1, 2, 3), "__dict__") and not hasattr(Point(1, 2, 3), "__dict__")
+
+
 def test_zero_dimension_matrices():
     empty_cols = Matrix.from_cols(QQ, [], nrows=4)
     assert empty_cols.rank() == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from torcheck.algebras import ArtinAlgebra, monomial_square_zero_algebra
 from torcheck.cli import MAX_EXPONENT
-from torcheck.linalg import GF, QQ, FieldMismatchError
+from torcheck.linalg import GF, QQ, FieldMismatchError, ShapeError
 from torcheck.poly import PolyMatrix, Substitution, VarTable, WeightedPoly, _key_product
 
 from polys import constant, monomial as mono
@@ -158,6 +158,63 @@ def test_matmul_associative_randomized():
     for _ in range(10):
         a, b, c = rand_mat(2, 2), rand_mat(2, 3), rand_mat(3, 2)
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def running_sum_product(a, b):
+    """``a @ b`` as a running sum of polynomial products per entry, from the
+    zero polynomial: the route of ``linalg.dense_product`` over polynomials."""
+    zero = WeightedPoly.zero(a.table)
+    rows = []
+    for row in a.entries:
+        acc = [zero] * b.ncols
+        for x, b_row in zip(row, b.entries):
+            for j, y in enumerate(b_row):
+                if x and y:
+                    acc[j] = acc[j] + x * y
+        rows.append(acc)
+    return PolyMatrix(a.table, rows, b.ncols)
+
+
+def test_product_builds_one_polynomial_per_entry(monkeypatch, xy_setup):
+    # each entry of X @ Y adds up its 4 products in one dict: 16 polynomials
+    # for the 2x8 product, where a running sum builds 129
+    _, x, y = xy_setup
+    expected = running_sum_product(x, y)
+    inits = []
+    init = WeightedPoly.__init__
+
+    def counting(self, table, terms):
+        inits.append(1)
+        init(self, table, terms)
+
+    monkeypatch.setattr(WeightedPoly, "__init__", counting)
+    product = x @ y
+    assert len(inits) == 16
+    assert product == expected
+    with pytest.raises(ShapeError, match=r"^product shape mismatch: 2x4 @ 2x4$"):
+        x @ x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["q", "fp3"])
+def test_product_matches_the_running_sum(field):
+    # few variables and small coefficients, so that products share monomials
+    # and sums cancel, over GF(3) down to zero entries
+    rng = random.Random(33)
+    table = VarTable(field)
+    names = [table.add_var("v%d" % i, 1 + i % 2) for i in range(3)]
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randrange(0, 4)):
+            exps = {i: rng.randrange(1, 3) for i in rng.sample(names, rng.randrange(0, 3))}
+            terms[tuple(sorted(exps.items()))] = field.normalize(rng.randrange(-2, 3))
+        return WeightedPoly(table, {k: c for k, c in terms.items() if c})
+
+    for _ in range(40):
+        n, k, m = (rng.randrange(0, 4) for _ in range(3))
+        a = PolyMatrix(table, [[rand_poly() for _ in range(k)] for _ in range(n)], k)
+        b = PolyMatrix(table, [[rand_poly() for _ in range(m)] for _ in range(k)], m)
+        assert a @ b == running_sum_product(a, b)
 
 
 # -- minors ----------------------------------------------------------------
